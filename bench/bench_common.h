@@ -53,7 +53,7 @@ namespace bench {
  * overwritten oldest ones are counted, and a one-line warning is
  * printed at exit. "--trace-tags name,name,..." opts additional event
  * tags into the recording mask on top of the default set (names as
- * printed by xlvm-trace, e.g. memo_hit, dispatch; "all" enables every
+ * printed by xlvm-trace, e.g. ir_node, dispatch; "all" enables every
  * tag) — the high-frequency firehoses are off by default because they
  * flush the ring within milliseconds.
  *
@@ -103,8 +103,6 @@ class Session
                      jobs_ == 1 ? "" : "s");
         std::vector<driver::RunOptions> traced = runs;
         for (driver::RunOptions &o : traced) {
-            o.simMemo = simMemo_;
-            o.simSuperblock = simSuperblock_;
             o.tierMode = tierMode_;
             applyRobustness(o);
             if (profiling())
@@ -139,8 +137,6 @@ class Session
     run(const driver::RunOptions &opts)
     {
         driver::RunOptions o = opts;
-        o.simMemo = simMemo_;
-        o.simSuperblock = simSuperblock_;
         o.tierMode = tierMode_;
         applyRobustness(o);
         if (profiling())
@@ -240,14 +236,6 @@ class Session
                 addTraceTags(argv[++i]);
             } else if (std::strncmp(a, "--trace-tags=", 13) == 0) {
                 addTraceTags(a + 13);
-            } else if (std::strcmp(a, "--sim-memo") == 0) {
-                simMemo_ = true;
-            } else if (std::strcmp(a, "--no-sim-memo") == 0) {
-                simMemo_ = false;
-            } else if (std::strcmp(a, "--sim-superblock") == 0) {
-                simSuperblock_ = true;
-            } else if (std::strcmp(a, "--no-sim-superblock") == 0) {
-                simSuperblock_ = false;
             } else if (std::strcmp(a, "--tier-mode") == 0 &&
                        i + 1 < argc) {
                 setTierMode(argv[++i]);
@@ -428,14 +416,6 @@ class Session
 
     std::vector<report::ReportTarget> targets_;
     unsigned jobs_;
-    /** "--sim-memo"/"--no-sim-memo": sim-layer block memoization (a
-     *  host-side accelerator; modeled counters are invariant, so CI
-     *  runs the golden gate under both settings). */
-    bool simMemo_ = true;
-    /** "--sim-superblock"/"--no-sim-superblock": trace-level superblock
-     *  replay on top of block memoization (same invariance contract;
-     *  the golden gate also runs with it off). */
-    bool simSuperblock_ = true;
     /** "--tier-mode"/XLVM_TIER_MODE: JIT compilation-tier policy. */
     vm::TierMode tierMode_ = vm::TierMode::Tier2;
     bool tierModeSet_ = false;

@@ -13,7 +13,6 @@
 #include "driver/runner.h"
 #include "rt/rbigint.h"
 #include "rt/rdict.h"
-#include "sim/block_memo.h"
 #include "sim/cache.h"
 #include "sim/core.h"
 #include "sim/emitter.h"
@@ -36,54 +35,6 @@ BM_CoreConsume(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) * 10);
 }
 BENCHMARK(BM_CoreConsume);
-
-/**
- * The block-memoization consume path (sim/block_memo.h), measured at the
- * core level: one fixed hot block — the shape of a lowered counting-loop
- * body (a straight ALU run, a load, a taken back-edge branch) — emitted
- * repeatedly inside a memo session with a boundary per iteration, exactly
- * as the trace executor brackets it. Arg(0)==1 memoizes (after the
- * predictor history saturates, every iteration replays the recorded
- * delta); Arg(0)==0 is the stepping baseline on the identical stream.
- * The ratio of the two is the sim-path speedup the memo layer provides.
- */
-void
-BM_CoreConsumeMemoBlock(benchmark::State &state)
-{
-    sim::CoreParams p;
-    p.simMemo = state.range(0) != 0;
-    const int groups = int(state.range(1));
-    // Loads access the dcache live at replay (exactness), so they bound
-    // the replay speedup; the load-free shape shows the ceiling.
-    const bool withLoad = state.range(2) != 0;
-    sim::Core core(p);
-    core.memoSessionBegin(16);
-    for (auto _ : state) {
-        sim::BlockEmitter e(core, 0x400000);
-        for (int g = 0; g < groups; ++g) {
-            e.alu(8);
-            if (withLoad)
-                e.loadPtr(&core, 1);
-            e.branch(true);
-        }
-        core.memoBoundary();
-    }
-    core.memoSessionEnd();
-    benchmark::DoNotOptimize(core.totalCyclesFp());
-    state.SetItemsProcessed(int64_t(state.iterations()) * groups *
-                            (withLoad ? 10 : 9));
-    state.counters["memo_hit_rate"] =
-        benchmark::Counter(core.memoStats().hitRate());
-}
-BENCHMARK(BM_CoreConsumeMemoBlock)
-    ->Args({0, 1, 1})
-    ->Args({1, 1, 1})
-    ->Args({0, 8, 1})
-    ->Args({1, 8, 1})
-    ->Args({0, 32, 1})
-    ->Args({1, 32, 1})
-    ->Args({0, 32, 0})
-    ->Args({1, 32, 0});
 
 void
 BM_CacheAccess(benchmark::State &state)

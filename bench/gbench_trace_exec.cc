@@ -11,16 +11,14 @@
  * in-config toggle — which is exactly what the before/after comparison
  * needs.
  *
- * The BM_SimStream_* group isolates the simulation layer: the same hot
- * trace body is pushed through a bare sim::Core under each acceleration
- * tier (per-record stepping, batched consumeStream, block memoization,
- * superblock replay) with no executor dispatch in the loop. The
- * superblock speedup target is measured here — in the end-to-end
- * BM_TraceExec_* numbers host-side micro-op dispatch dominates and
- * caps the visible gain. Every variant exports modeled_cpi, a
- * deterministic modeled-cost counter (cycles per simulated
- * instruction); xlvm-bench-guard pins it, so an accelerator that
- * drifts the model fails the gate even if it wins wall-clock.
+ * The BM_SimStep_* group isolates the simulation layer: the same hot
+ * trace body is stepped through a bare sim::Core with no executor
+ * dispatch in the loop, once plain and once with the cycle sampler
+ * armed. xlvm-bench-guard's --max-sampler-overhead compares the two.
+ * Every variant exports modeled_cpi, a deterministic modeled-cost
+ * counter (cycles per simulated instruction); xlvm-bench-guard pins it
+ * equal across variants, so a sampler that perturbs the model fails
+ * the gate even if it is cheap.
  */
 
 #include <benchmark/benchmark.h>
@@ -30,7 +28,6 @@
 
 #include "jit/opt.h"
 #include "jit/recorder.h"
-#include "sim/block_memo.h"
 #include "sim/emitter.h"
 #include "vm/context.h"
 #include "xlayer/sampler.h"
@@ -149,36 +146,8 @@ struct ScopedNoFuse
     ~ScopedNoFuse() { unsetenv("XLVM_NO_FUSE"); }
 };
 
-/** RAII toggle for the XLVM_NO_SIM_MEMO escape hatch (checked at Core
- *  construction time, i.e. when VmContext is built). */
-struct ScopedNoMemo
-{
-    explicit ScopedNoMemo(bool disable)
-    {
-        if (disable)
-            setenv("XLVM_NO_SIM_MEMO", "1", 1);
-        else
-            unsetenv("XLVM_NO_SIM_MEMO");
-    }
-    ~ScopedNoMemo() { unsetenv("XLVM_NO_SIM_MEMO"); }
-};
-
-/** RAII toggle for the XLVM_NO_SIM_SUPERBLOCK escape hatch (also
- *  checked at Core construction time). */
-struct ScopedNoSuperblock
-{
-    explicit ScopedNoSuperblock(bool disable)
-    {
-        if (disable)
-            setenv("XLVM_NO_SIM_SUPERBLOCK", "1", 1);
-        else
-            unsetenv("XLVM_NO_SIM_SUPERBLOCK");
-    }
-    ~ScopedNoSuperblock() { unsetenv("XLVM_NO_SIM_SUPERBLOCK"); }
-};
-
 /** Modeled cycles per simulated instruction — deterministic for a given
- *  workload, so the bench guard pins it against accelerator drift. */
+ *  workload, so the bench guard pins it across variants. */
 double
 modeledCpi(const sim::Core &core)
 {
@@ -192,12 +161,9 @@ modeledCpi(const sim::Core &core)
 void
 runTraceExecBench(benchmark::State &state,
                   jit::Trace *(*build)(vm::VmContext &, void *, int64_t),
-                  bool noFuse, bool noMemo = false,
-                  bool noSuperblock = false)
+                  bool noFuse)
 {
     ScopedNoFuse guard(noFuse);
-    ScopedNoMemo memoGuard(noMemo);
-    ScopedNoSuperblock sbGuard(noSuperblock);
     vm::VmContext ctx;
     int code;
     jit::Trace *t = build(ctx, &code, kIters);
@@ -210,10 +176,6 @@ runTraceExecBench(benchmark::State &state,
     state.SetItemsProcessed(int64_t(state.iterations()) * kIters);
     state.counters["deopts"] =
         benchmark::Counter(double(ctx.executor.deoptCount()));
-    sim::MemoStats ms = ctx.core.memoStats();
-    state.counters["memo_hit_rate"] = benchmark::Counter(ms.hitRate());
-    state.counters["sb_hit_rate"] =
-        benchmark::Counter(ctx.core.superblockStats().hitRate());
     state.counters["modeled_cpi"] = benchmark::Counter(modeledCpi(ctx.core));
 }
 
@@ -232,20 +194,6 @@ BM_TraceExec_HotLoop_NoFuse(benchmark::State &state)
 BENCHMARK(BM_TraceExec_HotLoop_NoFuse);
 
 void
-BM_TraceExec_HotLoop_NoMemo(benchmark::State &state)
-{
-    runTraceExecBench(state, buildCountingLoop, false, true);
-}
-BENCHMARK(BM_TraceExec_HotLoop_NoMemo);
-
-void
-BM_TraceExec_HotLoop_NoSuperblock(benchmark::State &state)
-{
-    runTraceExecBench(state, buildCountingLoop, false, false, true);
-}
-BENCHMARK(BM_TraceExec_HotLoop_NoSuperblock);
-
-void
 BM_TraceExec_Branchy(benchmark::State &state)
 {
     runTraceExecBench(state, buildBranchyLoop, false);
@@ -259,33 +207,15 @@ BM_TraceExec_Branchy_NoFuse(benchmark::State &state)
 }
 BENCHMARK(BM_TraceExec_Branchy_NoFuse);
 
-void
-BM_TraceExec_Branchy_NoMemo(benchmark::State &state)
-{
-    runTraceExecBench(state, buildBranchyLoop, false, true);
-}
-BENCHMARK(BM_TraceExec_Branchy_NoMemo);
-
-void
-BM_TraceExec_Branchy_NoSuperblock(benchmark::State &state)
-{
-    runTraceExecBench(state, buildBranchyLoop, false, false, true);
-}
-BENCHMARK(BM_TraceExec_Branchy_NoSuperblock);
-
-// ---- sim-layer acceleration-tier microbenchmarks ----------------------
+// ---- sim-layer stepping microbenchmarks -------------------------------
 
 /**
- * The hot trace body the sim-layer tiers race on, parameterized by
- * shape: @p units repetitions of {alu(aluRun), load every loadEvery-th
- * unit, taken branch}. Length is exactly where trace-level replay
- * separates from block-level granularity: past BlockMemo::kMaxRecs
- * (512 records) the block layer tombstones the block and steps every
- * instruction, while the superblock still replays the whole iteration
- * from one segment. The load density controls how much of the deferred
- * path is live address translation (which replay must keep, for GC
- * exactness) versus pure signature compares — optimized numeric
- * meta-traces land near the sparse end after allocation removal.
+ * A hot trace body for the bare core, parameterized by shape: @p units
+ * repetitions of {alu(aluRun), load every loadEvery-th unit, taken
+ * branch}. The load density controls how much of the body is address
+ * translation plus d-cache access versus straight-line ALU runs —
+ * optimized numeric meta-traces land near the sparse end after
+ * allocation removal.
  */
 struct SimBodyShape
 {
@@ -316,56 +246,6 @@ emitSimBody(sim::Core &c, const SimBodyShape &shape, const void *p1,
     }
 }
 
-/** The baked record stream matching emitSimBody (what jit::bakeSimStream
- *  derives at lowering time, built by hand here). */
-struct SimBodyStream
-{
-    std::vector<uint64_t> sigs;
-    std::vector<uint32_t> pcOff;
-    std::vector<uint32_t> memIdx;
-
-    explicit SimBodyStream(const SimBodyShape &shape)
-    {
-        using sim::InstClass;
-        auto rec = [&](uint64_t sig, uint32_t off, bool mem) {
-            if (mem)
-                memIdx.push_back(uint32_t(sigs.size()));
-            sigs.push_back(sig);
-            pcOff.push_back(off);
-        };
-        uint32_t off = 0;
-        for (int u = 0; u < shape.units; ++u) {
-            rec(sim::memoSigStraight(InstClass::IntAlu, 0,
-                                     uint32_t(shape.aluRun)),
-                off, false);
-            off += 4u * uint32_t(shape.aluRun);
-            if (u % shape.loadEvery == 0) {
-                rec(sim::memoSigInst(InstClass::Load, 0, false), off,
-                    true);
-                off += 4;
-            }
-            rec(sim::memoSigInst(InstClass::Branch, 0, true), off,
-                false);
-            off += 4;
-        }
-    }
-
-    sim::StreamView
-    view() const
-    {
-        sim::StreamView v;
-        v.sigs = sigs.data();
-        v.pcOff = pcOff.data();
-        v.memIdx = memIdx.data();
-        v.nRecs = uint32_t(sigs.size());
-        v.nMem = uint32_t(memIdx.size());
-        v.codePc = kSimPc;
-        v.streamId = 1;
-        v.eligible = true;
-        return v;
-    }
-};
-
 SimBodyShape
 shapeFromState(const benchmark::State &state)
 {
@@ -377,11 +257,9 @@ shapeFromState(const benchmark::State &state)
 }
 
 // {units, aluRun, loadEvery}: a short mixed loop body; a typical
-// optimized meta-trace (384 records, still block-memoizable); a long
-// mixed trace past the block-memo record cap; and a long compute-dense
-// trace (sparse loads after allocation removal) — the regime the
-// superblock speedup target is measured in.
-#define SIM_STREAM_SHAPES                                                \
+// optimized meta-trace; a long mixed trace; and a long compute-dense
+// trace (sparse loads after allocation removal).
+#define SIM_STEP_SHAPES                                                  \
     ->Args({16, 4, 1})->Args({128, 4, 1})->Args({256, 4, 1})             \
     ->Args({256, 16, 4})
 
@@ -399,102 +277,47 @@ struct CountingSampleSink final : sim::CycleSampleSink
     }
 };
 
-/** Emission-driven tiers: stepping, block memo, superblock sweep. An
- *  optional armed @p sink measures sampler overhead on the same body
- *  (xlvm-bench-guard's --max-sampler-overhead compares the Prof
- *  variant's cpu_time against the plain superblock sweep). */
+/** Plain stepping of the body. An optional armed @p sink measures
+ *  sampler overhead on the same body (xlvm-bench-guard's
+ *  --max-sampler-overhead compares the Prof variant's cpu_time against
+ *  the Plain one). */
 void
-runSimStreamBench(benchmark::State &state, bool memo, bool superblock,
-                  CountingSampleSink *sink = nullptr)
+runSimStepBench(benchmark::State &state, CountingSampleSink *sink = nullptr)
 {
     const SimBodyShape shape = shapeFromState(state);
-    sim::CoreParams p;
-    p.simMemo = memo;
-    p.simSuperblock = superblock;
-    sim::Core core(p);
+    sim::Core core;
     if (sink) {
         core.armSampler(sink, xlayer::kDefaultSampleIntervalCycles *
                                   sim::kCycleFp);
     }
-    SimBodyStream stream(shape);
     int obj1 = 0, obj2 = 0;
-    core.memoSetStream(stream.view());
-    core.memoSessionBegin(uint32_t(stream.sigs.size()));
-    for (auto _ : state) {
+    for (auto _ : state)
         emitSimBody(core, shape, &obj1, &obj2);
-        core.memoBoundary();
-    }
-    core.memoSessionEnd();
     if (sink)
         core.armSampler(nullptr, 0);
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             shape.instsPerIter());
-    state.counters["memo_hit_rate"] =
-        benchmark::Counter(core.memoStats().hitRate());
-    state.counters["sb_hit_rate"] =
-        benchmark::Counter(core.superblockStats().hitRate());
     state.counters["modeled_cpi"] = benchmark::Counter(modeledCpi(core));
     if (sink)
         state.counters["samples"] = benchmark::Counter(double(sink->samples));
 }
 
 void
-BM_SimStream_Stepped(benchmark::State &state)
+BM_SimStep_Plain(benchmark::State &state)
 {
-    runSimStreamBench(state, false, false);
+    runSimStepBench(state);
 }
-BENCHMARK(BM_SimStream_Stepped) SIM_STREAM_SHAPES;
+BENCHMARK(BM_SimStep_Plain) SIM_STEP_SHAPES;
 
-void
-BM_SimStream_BlockMemo(benchmark::State &state)
-{
-    runSimStreamBench(state, true, false);
-}
-BENCHMARK(BM_SimStream_BlockMemo) SIM_STREAM_SHAPES;
-
-void
-BM_SimStream_Superblock(benchmark::State &state)
-{
-    runSimStreamBench(state, true, true);
-}
-BENCHMARK(BM_SimStream_Superblock) SIM_STREAM_SHAPES;
-
-/** Superblock sweep with the deterministic cycle sampler armed at the
+/** The same stepping with the deterministic cycle sampler armed at the
  *  default interval, delivering into a counting sink. */
 void
-BM_SimStream_SuperblockProf(benchmark::State &state)
+BM_SimStep_Prof(benchmark::State &state)
 {
     CountingSampleSink sink;
-    runSimStreamBench(state, true, true, &sink);
+    runSimStepBench(state, &sink);
 }
-BENCHMARK(BM_SimStream_SuperblockProf) SIM_STREAM_SHAPES;
-
-/** The non-replayable fallback: one batched consumeStream pass per
- *  iteration over the baked SoA stream (no memo layer at all), with
- *  per-iteration address translation exactly as emission would do it. */
-void
-BM_SimStream_BatchedConsume(benchmark::State &state)
-{
-    const SimBodyShape shape = shapeFromState(state);
-    sim::CoreParams p;
-    p.simMemo = false;
-    sim::Core core(p);
-    SimBodyStream stream(shape);
-    sim::StreamView v = stream.view();
-    int obj1 = 0, obj2 = 0;
-    std::vector<uint64_t> addrs;
-    addrs.resize(v.nMem);
-    for (auto _ : state) {
-        uint32_t m = 0;
-        for (int u = 0; u < shape.units; u += shape.loadEvery)
-            addrs[m++] = core.dataAddr((u & 1) ? &obj2 : &obj1);
-        core.consumeStream(v, addrs.data(), m);
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            shape.instsPerIter());
-    state.counters["modeled_cpi"] = benchmark::Counter(modeledCpi(core));
-}
-BENCHMARK(BM_SimStream_BatchedConsume) SIM_STREAM_SHAPES;
+BENCHMARK(BM_SimStep_Prof) SIM_STEP_SHAPES;
 
 } // namespace
 

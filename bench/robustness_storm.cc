@@ -1,7 +1,7 @@
 /**
  * @file
  * Robustness ablation — deopt-storm blacklisting on an adversarial
- * guard-churn workload (DESIGN.md §12). The stress workload compiles a
+ * guard-churn workload (DESIGN.md §10). The stress workload compiles a
  * hot inner loop, then flips the guarded branch so every subsequent
  * trace entry fails its first guard with zero progress. Rows compare
  * containment off (every entry pays trace-entry + deopt overhead

@@ -25,7 +25,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-sites="recorder optimizer backend trace_cache gc_hook sim_memo"
+sites="recorder optimizer backend trace_cache gc_hook"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 fail=0

@@ -7,39 +7,28 @@
 # change: either fix the regression, or — when the change is intended
 # to move counters — rerun with --update and commit the new goldens.
 #
-# In the default tier mode the gate runs four times: once with the
-# sim-layer accelerators at their defaults (block memoization +
-# superblock replay), once with XLVM_NO_SIM_MEMO=1 (both layers off),
-# once with XLVM_NO_SIM_SUPERBLOCK=1 (block memo only), and once with
-# the sampling profiler armed (XLVM_PROFILE). The first three cover the
-# host-side accelerators, whose contract is that every modeled counter
-# is bit-identical in any configuration; the extra passes enforce that
-# contract on all 13 goldens and exclude only the accelerators' own
-# telemetry sections (--ignore-section sim_memo / sim_superblock),
-# whose counters legitimately shift when a layer is toggled (with the
-# superblock off, block memoization absorbs its traffic). The profiled
-# pass enforces the sampler's matching contract — sampling is pure
-# host-side observation, so the report must match the golden exactly
-# except for the "profiler" section (the sampler's own telemetry) —
-# and, unlike the accelerator passes, runs in EVERY tier mode: the
-# sampler must be non-perturbing under each tier policy. A fifth pass
-# arms the fault-injection engine with a spec that can never fire
-# (every site's nth is far beyond any real visit count), exercising
-# the full shouldFire() bookkeeping path on every probe: arming alone
-# must not move a single modeled counter, so the report must match the
-# golden except for the engine's own host-side telemetry
-# (--ignore-section jit_robustness). --update skips the extra passes
-# (goldens are recorded with both layers on, the profiler off, and the
-# fault engine disarmed).
+# The gate runs three passes: once with the default configuration,
+# once with the sampling profiler armed (XLVM_PROFILE), and once with
+# the fault-injection engine armed. The profiled pass enforces the
+# sampler's contract — sampling is pure host-side observation, so the
+# report must match the golden exactly except for the "profiler"
+# section (the sampler's own telemetry). The armed-fault pass arms the
+# engine with a spec that can never fire (every site's nth is far
+# beyond any real visit count), exercising the full shouldFire()
+# bookkeeping path on every probe: arming alone must not move a single
+# modeled counter, so the report must match the golden except for the
+# engine's own host-side telemetry (--ignore-section jit_robustness).
+# Both extra passes run in EVERY tier mode. --update skips the extra
+# passes (goldens are recorded with the profiler off and the fault
+# engine disarmed).
 #
 # --tier-mode MODE selects the JIT tier policy (tier2 = default).
 # Non-default modes compare against their own golden set
 # (tests/golden/<mode>/) and ignore the jit_tiers section, whose
-# per-tier byte/cycle split is pinned by the per-mode set itself; the
-# accelerator (memo/superblock-off) passes only run in the default
-# mode, the profiled pass in all modes. A missing per-mode
-# golden set is a hard failure, not a skip — regenerate it with
-# "ci/check_goldens.sh <build> --tier-mode <mode> --update" and commit.
+# per-tier byte/cycle split is pinned by the per-mode set itself. A
+# missing per-mode golden set is a hard failure, not a skip — regenerate
+# it with "ci/check_goldens.sh <build> --tier-mode <mode> --update" and
+# commit.
 #
 # Usage: ci/check_goldens.sh [build-dir] [--jobs N] [--tier-mode M] [--update]
 set -euo pipefail
@@ -120,41 +109,16 @@ for stem in $(stems); do
         echo "SKIP $stem: no bench binary mapped" >&2
         continue
     fi
-    echo "== $stem ($bin, $jobs jobs, tier $tier_mode, memo on)"
+    echo "== $stem ($bin, $jobs jobs, tier $tier_mode)"
     "$build/bench/$bin" --jobs "$jobs" --tier-mode "$tier_mode" \
         --report "json:$out/$stem.json" > /dev/null
     "$build/tools/xlvm-check-golden" "$out/$stem.json" \
         "$golden_dir/$stem.json" $ignore $update || fail=1
 done
 
-if [ -z "$update" ] && [ "$tier_mode" = tier2 ]; then
-    for stem in $(stems); do
-        bin=$(bench_for "$stem")
-        [ -z "$bin" ] && continue
-        echo "== $stem ($bin, $jobs jobs, memo off)"
-        XLVM_NO_SIM_MEMO=1 "$build/bench/$bin" --jobs "$jobs" \
-            --tier-mode "$tier_mode" \
-            --report "json:$out/$stem.nomemo.json" > /dev/null
-        "$build/tools/xlvm-check-golden" "$out/$stem.nomemo.json" \
-            "$golden_dir/$stem.json" --ignore-section sim_memo \
-            --ignore-section sim_superblock || fail=1
-    done
-    for stem in $(stems); do
-        bin=$(bench_for "$stem")
-        [ -z "$bin" ] && continue
-        echo "== $stem ($bin, $jobs jobs, superblock off)"
-        XLVM_NO_SIM_SUPERBLOCK=1 "$build/bench/$bin" --jobs "$jobs" \
-            --tier-mode "$tier_mode" \
-            --report "json:$out/$stem.nosb.json" > /dev/null
-        "$build/tools/xlvm-check-golden" "$out/$stem.nosb.json" \
-            "$golden_dir/$stem.json" --ignore-section sim_superblock \
-            --ignore-section sim_memo || fail=1
-    done
-fi
-
-# The profiled pass runs in EVERY tier mode (unlike the accelerator
-# passes): sampling must be non-perturbing under each tier policy, and
-# per-tier counters (jit_tiers) are part of what it must not perturb.
+# The profiled pass runs in EVERY tier mode: sampling must be
+# non-perturbing under each tier policy, and per-tier counters
+# (jit_tiers) are part of what it must not perturb.
 if [ -z "$update" ]; then
     for stem in $(stems); do
         bin=$(bench_for "$stem")
@@ -177,7 +141,6 @@ fi
 # the armed flag) may differ from the disarmed golden.
 never="recorder:1000000000,optimizer:1000000000,backend:1000000000"
 never="$never,trace_cache:1000000000,gc_hook:1000000000"
-never="$never,sim_memo:1000000000"
 if [ -z "$update" ]; then
     for stem in $(stems); do
         bin=$(bench_for "$stem")

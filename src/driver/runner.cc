@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "minipy/compiler.h"
-#include "sim/block_memo.h"
 #include "minipy/interp.h"
 #include "minirkt/compiler.h"
 #include "vm/context.h"
@@ -125,8 +124,6 @@ configFor(const RunOptions &opts)
         if (!probe.configure(cfg.inject, &err))
             throw std::invalid_argument("bad --inject spec: " + err);
     }
-    cfg.core.simMemo = opts.simMemo;
-    cfg.core.simSuperblock = opts.simSuperblock;
     cfg.maxInstructions = opts.maxInstructions;
     cfg.phaseTimelineBin = opts.timelineBin;
     cfg.workSampleInstrs = opts.workSampleInstrs;
@@ -176,26 +173,6 @@ collect(vm::VmContext &ctx, RunResult &out)
     out.icacheMisses = ctx.core.icacheUnit().misses();
     out.dcacheHits = ctx.core.dcacheUnit().hits();
     out.dcacheMisses = ctx.core.dcacheUnit().misses();
-
-    sim::MemoStats ms = ctx.core.memoStats();
-    out.memoBlocksCached = ms.blocksCached;
-    out.memoHits = ms.hits;
-    out.memoMisses = ms.misses;
-    out.memoInvalidations = ms.invalidations;
-    out.memoReplayedInstructions = ms.replayedInstructions;
-    out.memoReplayedCyclesFp = ms.replayedCyclesFp;
-    out.memoHitRate = ms.hitRate();
-
-    sim::SuperblockStats sb = ctx.core.superblockStats();
-    out.sbSegmentsCached = sb.segmentsCached;
-    out.sbHits = sb.hits;
-    out.sbMisses = sb.misses;
-    out.sbInvalidations = sb.invalidations;
-    out.sbDivergences = sb.divergences;
-    out.sbIterations = sb.iterations;
-    out.sbReplayedInstructions = sb.replayedInstructions;
-    out.sbReplayedCyclesFp = sb.replayedCyclesFp;
-    out.sbHitRate = sb.hitRate();
 
     const gc::Heap::HeapStats &hs = ctx.heap.stats();
     out.gcAllocations = hs.allocations;

@@ -213,8 +213,7 @@ Backend::compileAtTier(Trace &trace, uint8_t tier)
         programs.resize(trace.id + 1);
     }
     programs[trace.id] =
-        lowerTrace(trace, offs, ids, fuseMicroOps && !fusionDisabledByEnv(),
-                   loadStall, irNodeAnnots);
+        lowerTrace(trace, offs, ids, fuseMicroOps && !fusionDisabledByEnv());
     offsets[trace.id] = std::move(offs);
     nodeIds[trace.id] = std::move(ids);
 }

@@ -60,16 +60,8 @@ struct TierStats
 class Backend
 {
   public:
-    /**
-     * @param load_stall     the executor's jitLoadStall cost, baked into
-     *                       the programs' SimStreams (must match runtime)
-     * @param ir_node_annots the executor's irNodeAnnotations setting
-     *                       (kIrNode annots consume pc slots)
-     */
-    explicit Backend(sim::CodeSpace &cs, bool fuse_micro_ops = true,
-                     uint8_t load_stall = 1, bool ir_node_annots = false)
-        : codeSpace(cs), fuseMicroOps(fuse_micro_ops),
-          loadStall(load_stall), irNodeAnnots(ir_node_annots)
+    explicit Backend(sim::CodeSpace &cs, bool fuse_micro_ops = true)
+        : codeSpace(cs), fuseMicroOps(fuse_micro_ops)
     {
     }
 
@@ -126,8 +118,6 @@ class Backend
 
     sim::CodeSpace &codeSpace;
     bool fuseMicroOps;
-    uint8_t loadStall;
-    bool irNodeAnnots;
     TierStats tiers;
     std::vector<IrNodeMeta> nodes;
     std::vector<std::vector<uint32_t>> offsets; ///< per trace id

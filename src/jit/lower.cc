@@ -1,277 +1,9 @@
 #include "jit/lower.h"
 
-#include <atomic>
-
 #include "jit/backend.h"
-#include "sim/block_memo.h"
-#include "sim/inst.h"
-#include "xlayer/annot.h"
 
 namespace xlvm {
 namespace jit {
-
-namespace {
-
-/**
- * Bake the program's happy-path emission stream (see SimStream) by
- * mirroring the executor's handler templates record for record: same
- * classes, same run lengths, same extra latencies, same pc slots —
- * including the pc consumed by an optional kIrNode annotation and the
- * not-taken outcome of every guard/write-barrier branch. Kept next to
- * lowerTrace so the two views of a handler cannot drift silently; the
- * differential test in tests/test_sim_memo.cc enforces the mirror
- * against live recording.
- */
-void
-bakeSimStream(MicroProgram &prog, uint8_t load_stall, bool annotate)
-{
-    using sim::BlockMemo;
-    using sim::InstClass;
-
-    SimStream &s = prog.sim;
-    uint32_t off = 0; ///< current emission pc offset (bytes from codePc)
-
-    auto inst = [&](InstClass cls, uint8_t lat = 0) {
-        if (cls == InstClass::Load || cls == InstClass::Store)
-            s.memIdx.push_back(uint32_t(s.sigs.size()));
-        s.sigs.push_back(BlockMemo::sigInst(cls, lat, false));
-        s.pcOff.push_back(off);
-        off += 4;
-    };
-    auto straight = [&](InstClass cls, uint32_t n, uint8_t lat = 0) {
-        if (n == 0)
-            return; // consumeStraight(n == 0) emits nothing
-        s.sigs.push_back(BlockMemo::sigStraight(cls, lat, n));
-        s.pcOff.push_back(off);
-        off += 4 * n;
-    };
-    auto alu = [&](uint32_t n) { straight(InstClass::IntAlu, n); };
-    auto annot = [&](uint32_t tag, uint32_t payload) {
-        s.sigs.push_back(
-            BlockMemo::sigAnnot(sim::encodeAnnot(tag, payload)));
-        s.pcOff.push_back(off);
-        off += 4;
-    };
-    auto branch = [&]() { inst(InstClass::Branch); };
-
-    for (const MicroOp &m : prog.ops) {
-        const MOp op = MOp(m.opcode);
-        if (op == MOp::TrapEnd)
-            break;
-
-        // BEGIN(): emitter at the op's code address + optional IR-node
-        // annotation (which consumes the first pc slot).
-        off = m.pcOff;
-        if (op != MOp::DebugMergePoint && annotate && m.nodeId >= 0)
-            annot(xlayer::kIrNode, uint32_t(m.nodeId));
-        // BEGIN2() for fused pairs: re-anchors at the guard's offset.
-        auto begin2 = [&]() {
-            off = m.pcOff2;
-            if (annotate && m.nodeId2 >= 0)
-                annot(xlayer::kIrNode, uint32_t(m.nodeId2));
-        };
-
-        switch (op) {
-          case MOp::Label:
-            break;
-          case MOp::DebugMergePoint:
-            annot(xlayer::kDispatch, m.aux);
-            break;
-          case MOp::Jump:
-            inst(InstClass::Jump);
-            break;
-          case MOp::Finish:
-            alu(2);
-            break;
-
-          case MOp::GuardTrue:
-          case MOp::GuardFalse:
-          case MOp::GuardValue:
-          case MOp::GuardNonnull:
-          case MOp::GuardIsnull:
-            alu(1);
-            branch();
-            break;
-          case MOp::GuardClass:
-            inst(InstClass::Load, load_stall);
-            alu(1);
-            branch();
-            break;
-          case MOp::GuardNoOverflow:
-            branch();
-            break;
-
-          case MOp::IntAdd:
-          case MOp::IntSub:
-          case MOp::IntAnd:
-          case MOp::IntOr:
-          case MOp::IntXor:
-          case MOp::IntLshift:
-          case MOp::IntRshift:
-          case MOp::IntNeg:
-          case MOp::IntAddOvf:
-          case MOp::IntSubOvf:
-          case MOp::IntMulOvf:
-            alu(1);
-            break;
-          case MOp::IntMul:
-            inst(InstClass::IntMul);
-            break;
-          case MOp::IntFloordiv:
-          case MOp::IntMod:
-            inst(InstClass::IntDiv);
-            alu(3);
-            break;
-          case MOp::IntLt:
-          case MOp::IntLe:
-          case MOp::IntEq:
-          case MOp::IntNe:
-          case MOp::IntGt:
-          case MOp::IntGe:
-          case MOp::IntIsZero:
-          case MOp::IntIsTrue:
-            alu(2);
-            break;
-
-          case MOp::FloatAdd:
-          case MOp::FloatSub:
-          case MOp::FloatNeg:
-          case MOp::FloatAbs:
-          case MOp::CastIntToFloat:
-          case MOp::CastFloatToInt:
-            straight(InstClass::FpAlu, 1);
-            break;
-          case MOp::FloatMul:
-            inst(InstClass::FpMul);
-            break;
-          case MOp::FloatTruediv:
-            inst(InstClass::FpDiv);
-            break;
-          case MOp::FloatLt:
-          case MOp::FloatLe:
-          case MOp::FloatEq:
-          case MOp::FloatNe:
-          case MOp::FloatGt:
-          case MOp::FloatGe:
-            straight(InstClass::FpAlu, 1);
-            alu(1);
-            break;
-
-          case MOp::PtrEq:
-          case MOp::PtrNe:
-            alu(2);
-            break;
-          case MOp::SameAs:
-            alu(1);
-            break;
-
-          case MOp::GetfieldGc:
-            inst(InstClass::Load, load_stall);
-            break;
-          case MOp::SetfieldGc:
-            inst(InstClass::Store);
-            alu(1);
-            branch(); // write-barrier fast path
-            break;
-          case MOp::GetarrayitemGc:
-            alu(1);
-            inst(InstClass::Load, load_stall);
-            break;
-          case MOp::SetarrayitemGc:
-            alu(1);
-            inst(InstClass::Store);
-            branch();
-            break;
-          case MOp::ArraylenGc:
-          case MOp::Strlen:
-            inst(InstClass::Load, 1);
-            break;
-          case MOp::Strgetitem:
-            alu(1);
-            inst(InstClass::Load, 1);
-            break;
-
-          case MOp::NewWithVtable:
-            inst(InstClass::Load, 1);
-            alu(3);
-            branch();
-            inst(InstClass::Store);
-            inst(InstClass::Store);
-            alu(1);
-            break;
-
-          case MOp::Call:
-          case MOp::CallPure:
-          case MOp::CallMayForce:
-          case MOp::CallAssembler: {
-            // Call-class instructions touch RAS/BTB state the memo layer
-            // does not fingerprint; the stream stays useful as metadata.
-            s.memoEligible = false;
-            const uint32_t n = m.callInsts;
-            alu(n / 2 - 1);
-            inst(InstClass::Call);
-            off = m.pcOff + (n / 2 + 1) * 4;
-            inst(InstClass::Ret);
-            alu(n - n / 2 - 2);
-            break;
-          }
-
-          // Fused pairs: both constituents' expansions around one
-          // dispatch, the guard re-anchored at pcOff2.
-          case MOp::FuseLtGuardTrue:
-          case MOp::FuseLtGuardFalse:
-          case MOp::FuseLeGuardTrue:
-          case MOp::FuseLeGuardFalse:
-          case MOp::FuseEqGuardTrue:
-          case MOp::FuseEqGuardFalse:
-          case MOp::FuseNeGuardTrue:
-          case MOp::FuseNeGuardFalse:
-          case MOp::FuseGtGuardTrue:
-          case MOp::FuseGtGuardFalse:
-          case MOp::FuseGeGuardTrue:
-          case MOp::FuseGeGuardFalse:
-          case MOp::FuseIsZeroGuardTrue:
-          case MOp::FuseIsZeroGuardFalse:
-          case MOp::FuseIsTrueGuardTrue:
-          case MOp::FuseIsTrueGuardFalse:
-            alu(2);
-            begin2();
-            alu(1);
-            branch();
-            break;
-          case MOp::FuseGetfieldGuardClass:
-            inst(InstClass::Load, load_stall);
-            begin2();
-            inst(InstClass::Load, load_stall);
-            alu(1);
-            branch();
-            break;
-          case MOp::FuseAddOvfGuard:
-          case MOp::FuseSubOvfGuard:
-          case MOp::FuseMulOvfGuard:
-            alu(1);
-            begin2();
-            branch();
-            break;
-
-          case MOp::Unimpl:
-          default:
-            s.memoEligible = false;
-            break;
-        }
-    }
-
-    s.estRecords = uint32_t(s.sigs.size());
-
-    // Process-unique bake identity. Atomic for the parallel harness;
-    // the per-run id *sequence* is deterministic per workload, and ids
-    // only ever feed identity compares, so counters stay invariant
-    // across --jobs.
-    static std::atomic<uint64_t> nextStreamId{1};
-    s.streamId = nextStreamId.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
 
 namespace {
 
@@ -529,8 +261,7 @@ mopName(MOp m)
 
 MicroProgram
 lowerTrace(const Trace &trace, const std::vector<uint32_t> &offsets,
-           const std::vector<int32_t> &node_ids, bool fuse,
-           uint8_t load_stall, bool annotate)
+           const std::vector<int32_t> &node_ids, bool fuse)
 {
     XLVM_ASSERT(offsets.size() == trace.ops.size(),
                 "offsets not parallel to ops");
@@ -644,8 +375,6 @@ lowerTrace(const Trace &trace, const std::vector<uint32_t> &offsets,
     MicroOp trap;
     trap.opcode = uint16_t(MOp::TrapEnd);
     prog.ops.push_back(trap);
-
-    bakeSimStream(prog, load_stall, annotate);
     return prog;
 }
 

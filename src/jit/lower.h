@@ -186,39 +186,6 @@ struct MicroOp
 };
 
 /**
- * The program's simulated-instruction stream, baked at lowering time in
- * structure-of-arrays form: one entry per emission *record* (a single
- * Inst, one straight-line run, or one annotation) of a full happy-path
- * iteration — every guard passing, every branch on its fast path.
- *
- * `sigs` is the fused class/latency/run-length stream packed with the
- * sim-layer's memoization signature encoding (sim::BlockMemo::sigInst /
- * sigStraight / sigAnnot), `pcOff` is the pc stream (byte offset of each
- * record's first instruction from the trace's codePc), and `memIdx`
- * lists the records that are memory operations (the ones whose d-cache
- * access must stay live at replay). The memo layer uses estRecords to
- * size its record scratch; tests/test_sim_memo.cc proves the baked
- * stream equals what live recording observes, record for record.
- */
-struct SimStream
-{
-    std::vector<uint64_t> sigs;
-    std::vector<uint32_t> pcOff;
-    std::vector<uint32_t> memIdx;
-    uint32_t estRecords = 0;
-    /**
-     * Bake identity: process-unique, assigned at bake time. Two bakes
-     * never share an id, so the superblock layer can prove a stream
-     * unchanged across re-lowering / tier promotion with one compare
-     * (see sim::StreamView::streamId). 0 = never baked.
-     */
-    uint64_t streamId = 0;
-    /** False when the program emits call-class instructions (RAS/BTB
-     *  state is not memoized) or contains unimplemented ops. */
-    bool memoEligible = true;
-};
-
-/**
  * Provenance for one guard site, recorded at lowering time so deopt
  * attribution can name the guard (IR op), point back at the bytecode
  * that produced it (the nearest preceding debug_merge_point's dispatch
@@ -244,7 +211,6 @@ struct MicroProgram
     /** Pre-decoded register indices for Jump / CallAssembler argument
      *  lists (the anchor snapshot's frames[0].stack refs). */
     std::vector<uint32_t> extra;
-    SimStream sim; ///< baked emission stream (see SimStream)
     /** One entry per guard site, in trace order (see GuardProvenance). */
     std::vector<GuardProvenance> guards;
     uint32_t numRegs = 0;   ///< boxes + materialized consts
@@ -257,15 +223,11 @@ struct MicroProgram
 /**
  * Lower @p trace into a micro-op program. @p offsets / @p node_ids are
  * the backend's per-op code offsets and global IR-node ids (parallel to
- * trace.ops). @p fuse enables the superinstruction pass. @p load_stall
- * and @p annotate must match the executor's runtime configuration
- * (jitLoadStall cost, irNodeAnnotations) so the baked SimStream mirrors
- * the emitted stream exactly.
+ * trace.ops). @p fuse enables the superinstruction pass.
  */
 MicroProgram lowerTrace(const Trace &trace,
                         const std::vector<uint32_t> &offsets,
-                        const std::vector<int32_t> &node_ids, bool fuse,
-                        uint8_t load_stall = 1, bool annotate = false);
+                        const std::vector<int32_t> &node_ids, bool fuse);
 
 } // namespace jit
 } // namespace xlvm

@@ -167,7 +167,7 @@ Interp::loop()
 
         // Fault-injection trigger points (zero-cost when disarmed: one
         // predictable branch). Trigger counters are deterministic: they
-        // tick per dispatch (gc_hook, sim_memo) or per traced dispatch
+        // tick per dispatch (gc_hook) or per traced dispatch
         // (recorder), never on wall-clock or sampled state.
         if (ctx.faults.armed()) {
             if (tracing() &&
@@ -180,11 +180,6 @@ Interp::loop()
                 // A GC hook misbehaving mid-recording invalidates the
                 // recorder's object identities: discard the recording.
                 abortTrace(jit::AbortReason::kInjected);
-            }
-            if (ctx.faults.shouldFire(rt::FaultSite::kSimMemo)) {
-                // Host-side only: drop every memoized block. Modeled
-                // counters are invariant by the memo contract.
-                ctx.core.memoInvalidateEntries();
             }
         }
 

@@ -31,9 +31,9 @@ struct GoldenOptions
     /**
      * Object keys to skip wherever they appear (both sides): a key
      * listed here never produces a drift, whether its values differ or
-     * it is missing from one report entirely. Used by the memo-off CI
-     * pass to exclude the host-side "sim_memo" section whose counters
-     * legitimately differ between the two gate runs.
+     * it is missing from one report entirely. Used by the differential
+     * CI passes to exclude host-side telemetry sections (e.g.
+     * "profiler") whose counters legitimately differ between runs.
      */
     std::vector<std::string> ignoreKeys;
 };

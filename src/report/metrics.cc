@@ -205,29 +205,6 @@ MetricsRegistry::addRun(const driver::RunOptions &opts,
     addU("caches", "dcache_hits", r.dcacheHits);
     addU("caches", "dcache_misses", r.dcacheMisses);
 
-    // Sim-layer block memoization (host-side accelerator telemetry; the
-    // modeled counters above are invariant to it by construction).
-    addU("sim_memo", "blocks_cached", r.memoBlocksCached);
-    addU("sim_memo", "hits", r.memoHits);
-    addU("sim_memo", "misses", r.memoMisses);
-    addU("sim_memo", "invalidations", r.memoInvalidations);
-    addU("sim_memo", "replayed_instructions", r.memoReplayedInstructions);
-    addU("sim_memo", "replayed_cycles_fp", r.memoReplayedCyclesFp);
-    addF("sim_memo", "hit_rate", r.memoHitRate);
-
-    // Sim-layer superblock replay (host-side accelerator telemetry, one
-    // level above sim_memo: whole trace iterations instead of blocks).
-    addU("sim_superblock", "segments_cached", r.sbSegmentsCached);
-    addU("sim_superblock", "hits", r.sbHits);
-    addU("sim_superblock", "misses", r.sbMisses);
-    addU("sim_superblock", "invalidations", r.sbInvalidations);
-    addU("sim_superblock", "divergences", r.sbDivergences);
-    addU("sim_superblock", "iterations", r.sbIterations);
-    addU("sim_superblock", "replayed_instructions",
-         r.sbReplayedInstructions);
-    addU("sim_superblock", "replayed_cycles_fp", r.sbReplayedCyclesFp);
-    addF("sim_superblock", "hit_rate", r.sbHitRate);
-
     // Multi-tier JIT: per-tier compile counts, modeled compile cost,
     // resident code bytes, promotions, and execution-cycle attribution.
     // The tier1/multi golden sets exclude this section from comparison
@@ -283,7 +260,7 @@ MetricsRegistry::addRun(const driver::RunOptions &opts,
 
     // Latency distributions: percentiles of the always-on host-side
     // histograms (whole modeled cycles). Deterministic and invariant
-    // under memo/superblock/fusion/sampling, hence golden-gated.
+    // under fusion/sampling, hence golden-gated.
     auto addHist = [&](const char *prefix,
                        const common::Histogram &h) {
         std::string section = std::string("latency/") + prefix;

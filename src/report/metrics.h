@@ -60,19 +60,17 @@ class MetricsRegistry
      * Bump when the counter walk changes shape; goldens pin this.
      * v2: added config/trace_buffer_events, events/phase_underflows,
      * and the tracer drop/overflow section.
-     * v3: added the sim_memo section (block-memoization host-side
-     * counters; excluded from golden comparison in the memo-off CI
-     * pass via --ignore-section).
+     * v3: added a host-side telemetry section for the sim layer's
+     * first replay accelerator (removed in v8).
      * v4: added config/tier_mode + tier thresholds, events/tier_ups +
      * tier1_compiles, and the jit_tiers section (multi-tier JIT
      * per-tier compiles/bytes/promotions; the tier1/multi golden sets
      * compare with --ignore-section jit_tiers).
-     * v5: added the sim_superblock section (trace-level superblock
-     * replay host-side counters; the superblock-off and memo-off CI
-     * passes exclude it via --ignore-section).
+     * v5: added a host-side telemetry section for the sim layer's
+     * second replay accelerator (removed in v8).
      * v6: added the latency section (iteration / trace-execution
      * modeled-cycle percentiles from always-on host-side histograms —
-     * invariant under every replay toggle, so golden-gated) and the
+     * invariant under every host-side toggle, so golden-gated) and the
      * profiler section (sampling-profiler telemetry; only non-zero
      * when profiling is on, so the profiler-on differential CI pass
      * compares goldens with --ignore-section profiler).
@@ -82,8 +80,11 @@ class MetricsRegistry
      * downgrade counts — all modeled and golden-gated — plus the
      * fault-injection trigger telemetry, which is host-side: the armed
      * golden CI pass compares with --ignore-section jit_robustness).
+     * v8: removed the v3 and v5 sections and their fault-injection
+     * site with the replay accelerators themselves; every modeled
+     * counter is unchanged.
      */
-    static constexpr uint64_t kSchemaVersion = 7;
+    static constexpr uint64_t kSchemaVersion = 8;
 
     explicit MetricsRegistry(std::string report_name);
 

@@ -1,7 +1,6 @@
 #include "report/trace_export.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -127,20 +126,10 @@ annotTagName(uint32_t tag)
         return "ir_node";
       case kAppEvent:
         return "app_event";
-      case kMemoHit:
-        return "memo_hit";
-      case kMemoInvalidate:
-        return "memo_invalidate";
-      case kMemoMiss:
-        return "memo_miss";
       case kTierUp:
         return "tier_up";
       case kTier1Compile:
         return "tier1_compile";
-      case kSuperblockHit:
-        return "superblock_hit";
-      case kSuperblockDiverge:
-        return "superblock_diverge";
       default:
         return nullptr;
     }
@@ -492,9 +481,6 @@ summarizeChromeTrace(const Json &doc, size_t top_n)
     std::map<std::string, std::pair<uint64_t, uint64_t>> phaseCounts;
     std::map<std::string, uint64_t> instantCounts;
     std::map<uint64_t, uint64_t> guardFailures;
-    /** phase name -> {hits, misses, invalidations, superblock hits,
-     *  superblock divergences} (sim memoization + superblock replay). */
-    std::map<std::string, std::array<uint64_t, 5>> memoByPhase;
     Json timeline = Json::array();
     uint64_t timelineTruncated = 0;
     uint64_t counterSamples = 0;
@@ -535,24 +521,6 @@ summarizeChromeTrace(const Json &doc, size_t top_n)
             }
             if (ph == "i")
                 ++instantCounts[annotTagLabel(tag)];
-            if (tag == kMemoHit || tag == kMemoMiss ||
-                tag == kMemoInvalidate || tag == kSuperblockHit ||
-                tag == kSuperblockDiverge) {
-                const Json *phasej = eventArg(ev, "phase");
-                std::string phase =
-                    phasej ? phasej->asString() : std::string("?");
-                auto &mc = memoByPhase[phase];
-                if (tag == kMemoHit)
-                    ++mc[0];
-                else if (tag == kMemoMiss)
-                    ++mc[1];
-                else if (tag == kMemoInvalidate)
-                    ++mc[2];
-                else if (tag == kSuperblockHit)
-                    ++mc[3];
-                else
-                    ++mc[4];
-            }
             if (tag == kDeopt)
                 ++guardFailures[payload];
             if (tag == kLoopCompiled || tag == kBridgeCompiled ||
@@ -603,18 +571,6 @@ summarizeChromeTrace(const Json &doc, size_t top_n)
         topGuards.push(std::move(entry));
     }
     summary.set("top_guard_failures", std::move(topGuards));
-
-    Json memo = Json::object();
-    for (const auto &mc : memoByPhase) {
-        Json counts = Json::object();
-        counts.set("hits", Json(mc.second[0]));
-        counts.set("misses", Json(mc.second[1]));
-        counts.set("invalidations", Json(mc.second[2]));
-        counts.set("superblock_hits", Json(mc.second[3]));
-        counts.set("superblock_divergences", Json(mc.second[4]));
-        memo.set(mc.first, std::move(counts));
-    }
-    summary.set("memo_by_phase", std::move(memo));
 
     summary.set("compile_deopt_timeline", std::move(timeline));
     summary.set("timeline_truncated", Json(timelineTruncated));
@@ -687,25 +643,6 @@ formatTraceSummary(const Json &summary)
                     buf, sizeof(buf), "  guard %llu: %llu\n",
                     (unsigned long long)(id ? id->asUInt() : 0),
                     (unsigned long long)(n ? n->asUInt() : 0));
-                out += buf;
-            }
-        }
-    }
-
-    if (const Json *memo = summary.get("memo_by_phase")) {
-        if (memo->size() > 0) {
-            out += "sim memoization by phase "
-                   "(hit/miss/invalidate, sb hit/diverge):\n";
-            for (const auto &m : memo->members()) {
-                auto mu = [&m](const char *k) -> unsigned long long {
-                    const Json *v = m.second.get(k);
-                    return v ? (unsigned long long)v->asUInt() : 0;
-                };
-                std::snprintf(buf, sizeof(buf),
-                              "  %-10s %llu/%llu/%llu, %llu/%llu\n",
-                              m.first.c_str(), mu("hits"), mu("misses"),
-                              mu("invalidations"), mu("superblock_hits"),
-                              mu("superblock_divergences"));
                 out += buf;
             }
         }

@@ -14,7 +14,6 @@ faultSiteName(FaultSite s)
       case FaultSite::kBackend: return "backend";
       case FaultSite::kTraceCache: return "trace_cache";
       case FaultSite::kGcHook: return "gc_hook";
-      case FaultSite::kSimMemo: return "sim_memo";
       case FaultSite::kNumFaultSites: break;
     }
     return "unknown";
@@ -91,7 +90,7 @@ FaultEngine::configure(const std::string &spec, std::string *err)
             if (err) {
                 *err = "--inject: unknown site '" + siteName +
                        "' (recorder|optimizer|backend|trace_cache|"
-                       "gc_hook|sim_memo)";
+                       "gc_hook)";
             }
             armed_ = false;
             return false;

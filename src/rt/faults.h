@@ -20,7 +20,6 @@
  *     spec  := entry ("," entry)*
  *     entry := ["fault@"] site [":" nth]
  *     site  := recorder | optimizer | backend | trace_cache | gc_hook
- *              | sim_memo
  *     nth   := 1-based visit ordinal (default 1); the trigger is
  *              one-shot — it fires on exactly that visit.
  */
@@ -42,7 +41,6 @@ enum class FaultSite : uint8_t
     kBackend = 2,    ///< backend compile fails -> recording discarded
     kTraceCache = 3, ///< registration sees cache pressure -> eviction/abort
     kGcHook = 4,     ///< GC safepoint misbehaves -> abort if recording
-    kSimMemo = 5,    ///< host-side memo invalidation (counters invariant)
     kNumFaultSites
 };
 

@@ -3,18 +3,20 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/hashmix.h"
 
 namespace xlvm {
 namespace sim {
 
 namespace {
 
-/** Cheap 64->32 mixing for table indices (shared with BlockMemo). */
+/** Cheap 64->32 mixing for table indices. */
 inline uint32_t
 mix(uint64_t x)
 {
-    return mixPcHash(x);
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 29;
+    return static_cast<uint32_t>(x);
 }
 
 } // namespace
@@ -32,13 +34,10 @@ GsharePredictor::predictAndUpdate(uint64_t pc, bool taken)
     uint32_t idx = (mix(pc >> 2) ^ ghr) & indexMask;
     uint8_t &ctr = pht[idx];
     bool pred = ctr >= 2;
-    if (taken && ctr < 3) {
+    if (taken && ctr < 3)
         ++ctr;
-        ++writeGen;
-    } else if (!taken && ctr > 0) {
+    else if (!taken && ctr > 0)
         --ctr;
-        ++writeGen;
-    }
     ghr = ((ghr << 1) | (taken ? 1 : 0)) & historyMask;
     return pred == taken;
 }
@@ -47,7 +46,6 @@ void
 GsharePredictor::reset()
 {
     std::fill(pht.begin(), pht.end(), uint8_t(1)); // weakly not-taken
-    ++writeGen;
     ghr = 0;
 }
 

@@ -48,16 +48,7 @@ class GsharePredictor
     void reset();
 
   private:
-    friend class BlockMemo;
-
     std::vector<uint8_t> pht; ///< 2-bit saturating counters
-    /**
-     * Bumped whenever any PHT counter changes value (saturated updates
-     * leave it untouched). Replay layers use it as an O(1) "no PHT
-     * drift since" witness, the same trick Cache::nMisses plays for
-     * footprint verification.
-     */
-    uint64_t writeGen = 0;
     uint32_t indexMask;
     uint32_t historyMask;
     uint32_t ghr = 0;
@@ -140,8 +131,6 @@ class BranchUnit
     void reset();
 
   private:
-    friend class BlockMemo;
-
     GsharePredictor gshare;
     IndirectPredictor indirect;
     ReturnStack ras;

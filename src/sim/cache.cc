@@ -82,18 +82,6 @@ Cache::accessN(uint64_t addr, uint32_t n)
     return false;
 }
 
-bool
-Cache::linePresent(uint64_t line) const
-{
-    uint32_t set = static_cast<uint32_t>(line) & (numSets - 1);
-    uint64_t tag = line >> 1;
-    const Way *base = &ways_[set * numWays];
-    for (uint32_t w = 0; w < numWays; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
-}
-
 void
 Cache::reset()
 {

@@ -53,28 +53,18 @@ class Cache
 
     uint32_t lineBytes() const { return 1u << lineShift; }
 
-    /** Would access(addr) miss right now? Pure peek, no state change. */
-    bool wouldMiss(uint64_t addr) const
-    {
-        return !linePresent(addr >> lineShift);
-    }
-
     void resetStats() { nHits = nMisses = 0; }
 
     /** Full reset: counters, contents, LRU clock, MRU pointers. */
     void reset();
 
   private:
-    friend class BlockMemo;
-
     struct Way
     {
         uint64_t tag = ~0ull;
         uint32_t lastUse = 0;
         bool valid = false;
     };
-
-    bool linePresent(uint64_t line) const;
 
     std::vector<Way> ways_;
     /** Per-set index of the most recently hit/filled way. */

@@ -1,9 +1,6 @@
 #include "sim/core.h"
 
-#include <cstdlib>
-
 #include "common/logging.h"
-#include "sim/block_memo.h"
 
 namespace xlvm {
 namespace sim {
@@ -17,56 +14,6 @@ Core::Core(const CoreParams &p)
 {
     XLVM_ASSERT(p.issueWidth > 0 && p.issueWidth <= kCycleFp,
                 "unsupported issue width");
-    // The env overrides are honored here (not only in the driver) so
-    // benches and tests that build cores or contexts directly respect
-    // XLVM_NO_SIM_MEMO / XLVM_NO_SIM_SUPERBLOCK too.
-    if (p.simMemo && std::getenv("XLVM_NO_SIM_MEMO") == nullptr)
-        memo_.reset(new BlockMemo(
-            *this, p.simSuperblock &&
-                       std::getenv("XLVM_NO_SIM_SUPERBLOCK") == nullptr));
-}
-
-Core::~Core() = default;
-
-bool
-Core::memoOnInst(const Inst &inst)
-{
-    return memo_->onInst(inst);
-}
-
-bool
-Core::memoOnStraight(InstClass cls, uint64_t start_pc, uint32_t n,
-                     uint8_t extra_lat)
-{
-    return memo_->onStraight(cls, start_pc, n, extra_lat);
-}
-
-bool
-Core::memoSweepInst(const Inst &inst)
-{
-    return memo_->sweepOnInst(inst);
-}
-
-void
-Core::memoSweepStraightMiss()
-{
-    memo_->sweepMaterialize();
-}
-
-void
-Core::memoSetStream(const StreamView &view)
-{
-    if (memo_)
-        memo_->setStream(view);
-}
-
-void
-Core::consumeStream(const StreamView &view, const uint64_t *mem_addrs,
-                    uint32_t n_mem)
-{
-    XLVM_ASSERT(!sweepArmed_, "consumeStream inside an armed sweep");
-    BlockMemo::streamWalk(*this, view, 0, view.nRecs, mem_addrs, n_mem,
-                          nullptr);
 }
 
 void
@@ -88,88 +35,14 @@ Core::armSampler(CycleSampleSink *s, uint64_t interval_fp)
 void
 Core::sampleFire(uint64_t pc)
 {
-    // A single large charge (a replayed superblock, a long straight run)
-    // can cross several sample points at once; deliver one sample per
-    // crossed point so sample density stays proportional to modeled time
-    // regardless of how the charge was batched.
+    // A single large charge (a long straight run) can cross several
+    // sample points at once; deliver one sample per crossed point so
+    // sample density stays proportional to modeled time regardless of
+    // how the charge was batched.
     while (nextSampleFp_ <= sampleClockFp_) {
         sampleSink_->onCycleSample(nextSampleFp_, bucket, pc, sampleCtx_);
         nextSampleFp_ += sampleIntervalFp_;
     }
-}
-
-bool
-Core::superblockEnabled() const
-{
-    return memo_ && memo_->superblockEnabled();
-}
-
-void
-Core::refreshAnnotPurity()
-{
-    uint64_t gen = sink ? sink->annotGeneration() : 0;
-    if (purityValid_ && gen == purityGeneration_)
-        return;
-    uint32_t mask = 0;
-    if (sink) {
-        for (uint32_t tag = 0; tag < 32; ++tag)
-            if (!sink->annotPure(tag))
-                mask |= 1u << tag;
-    }
-    impureTagMask_ = mask;
-    memoEventsWanted_ = sink != nullptr && sink->memoEventsWanted();
-    purityGeneration_ = gen;
-    purityValid_ = true;
-    // Purity governs which annotation deliveries a replay may elide; a
-    // changed listener set invalidates every recorded block.
-    if (memo_)
-        memo_->invalidateEntries();
-}
-
-void
-Core::memoInvalidateEntries()
-{
-    if (memo_)
-        memo_->invalidateEntries();
-}
-
-void
-Core::memoSessionBegin(uint32_t est_records)
-{
-    if (!memo_)
-        return;
-    refreshAnnotPurity();
-    memo_->sessionBegin(est_records);
-    memoState_ = 1;
-}
-
-void
-Core::memoSessionEnd()
-{
-    if (!memo_)
-        return;
-    memo_->sessionEnd();
-    if (!memo_->inSession())
-        memoState_ = 0;
-}
-
-void
-Core::memoBoundary()
-{
-    if (memoState_ != 0)
-        memo_->boundary();
-}
-
-MemoStats
-Core::memoStats() const
-{
-    return memo_ ? memo_->stats() : MemoStats();
-}
-
-SuperblockStats
-Core::superblockStats() const
-{
-    return memo_ ? memo_->superblockStats() : SuperblockStats();
 }
 
 const PerfCounters &
@@ -226,11 +99,6 @@ Core::resetStats()
     icache.reset();
     dcache.reset();
     branchUnit.reset();
-    // Every fingerprint a memo entry verified against (cache contents,
-    // LRU clocks, predictor state) is gone; flush the table so replay
-    // can never resurrect pre-reset machine state.
-    if (memo_)
-        memo_->flush();
 }
 
 } // namespace sim

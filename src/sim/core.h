@@ -18,8 +18,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "sim/addr_map.h"
 #include "sim/branch_pred.h"
@@ -28,10 +26,6 @@
 
 namespace xlvm {
 namespace sim {
-
-class BlockMemo;
-struct MemoStats;
-struct SuperblockStats;
 
 /** Fixed-point cycle units: 1/16 of a cycle. */
 constexpr uint64_t kCycleFp = 16;
@@ -50,19 +44,11 @@ struct CoreParams
     uint32_t annotCostFp = 0;
     double frequencyGhz = 3.0;
     /**
-     * Basic-block cost memoization (see sim/block_memo.h). On by
-     * default: it only activates inside executor-bracketed sessions and
-     * is bit-identical to stepping. XLVM_NO_SIM_MEMO in the environment
-     * overrides this to off.
+     * Inert: the frozen host benchmark (hostbench/) still sets these, so
+     * they stay until the next benchmark revision drops them. The core
+     * has a single stepping path and ignores both.
      */
     bool simMemo = true;
-    /**
-     * Trace-level superblock replay + batched stream sweep (see
-     * sim/block_memo.h). On by default; only activates when the executor
-     * hands the core a baked SimStream view, and is bit-identical to
-     * stepping. Requires simMemo; XLVM_NO_SIM_SUPERBLOCK in the
-     * environment overrides this to off (block memoization stays on).
-     */
     bool simSuperblock = true;
     BranchPredParams branchPred;
     CacheParams icache;
@@ -132,37 +118,6 @@ class AnnotSink
   public:
     virtual ~AnnotSink() = default;
     virtual void onAnnot(uint32_t tag, uint32_t payload) = 0;
-
-    /**
-     * Purity oracle for the memoization layer: true when delivering
-     * @p tag is a no-op for every current consumer, so a replayed block
-     * may elide the delivery. The conservative default keeps every tag
-     * live.
-     */
-    virtual bool annotPure(uint32_t tag) const
-    {
-        (void)tag;
-        return false;
-    }
-
-    /** Bumped whenever the answer of annotPure() may have changed. */
-    virtual uint64_t annotGeneration() const { return 0; }
-
-    /**
-     * Out-of-band memoization telemetry (kMemoEvent* tags). Delivered
-     * only to consumers that explicitly opt in — never routed through
-     * onAnnot broadcast — so profilers whose state is sensitive to
-     * delivery timing (e.g. the phase-timeline binner) are untouched
-     * and counters stay bit-identical with memoization on or off.
-     */
-    virtual void onMemoEvent(uint32_t tag, uint32_t payload)
-    {
-        (void)tag;
-        (void)payload;
-    }
-
-    /** True when some consumer opted into onMemoEvent delivery. */
-    virtual bool memoEventsWanted() const { return false; }
 };
 
 /** Maximum number of counter buckets (phases). */
@@ -235,98 +190,10 @@ class CycleSampleSink
                                uint64_t pc, uint64_t ctx) = 0;
 };
 
-// ---- block-memoization record signatures -------------------------------
-//
-// Defined here (not in block_memo.h) so Core's hot path can verify a
-// replayed emission inline — one packed 64-bit compare against the
-// recorded stream — without an out-of-line call per instruction. See
-// sim/block_memo.h for the full design.
-
-constexpr uint64_t kMemoSigKindInst = 1ull << 62;
-constexpr uint64_t kMemoSigKindAnnot = 2ull << 62;
-constexpr uint64_t kMemoSigKindStraight = 3ull << 62;
-
-constexpr uint64_t
-memoSigInst(InstClass cls, uint8_t extra_lat, bool taken)
-{
-    return kMemoSigKindInst | (uint64_t(extra_lat) << 54) |
-           (uint64_t(cls) << 50) | (taken ? (1ull << 49) : 0);
-}
-
-constexpr uint64_t
-memoSigStraight(InstClass cls, uint8_t extra_lat, uint32_t n)
-{
-    return kMemoSigKindStraight | (uint64_t(extra_lat) << 54) |
-           (uint64_t(cls) << 50) | n;
-}
-
-/** @param encoded  Inst::target of an Annot (encodeAnnot result). */
-constexpr uint64_t
-memoSigAnnot(uint64_t encoded)
-{
-    return kMemoSigKindAnnot | encoded;
-}
-
-/**
- * One recorded emission: a packed signature plus the emission pc. The
- * signature encodes everything outcome-relevant about the emission
- * except memory addresses (replayed live) and jump targets (state-free),
- * so the replay fast path is two 64-bit compares per emission.
- */
-struct MemoRec
-{
-    uint64_t sig = 0;
-    uint64_t pc = 0;
-};
-
-/**
- * Non-owning view of a compiled trace's baked emission stream (the SoA
- * SimStream from jit/lower.h), rebased at the trace's code address. The
- * executor hands one to Core::memoSetStream before entering a trace;
- * the superblock layer defers matching emissions against it and the
- * batched consumeStream() entry processes one in a single pass. The
- * pointers must stay valid for as long as the view is the pending or
- * armed stream (the executor re-sets the view on every trace entry).
- */
-struct StreamView
-{
-    const uint64_t *sigs = nullptr;  ///< memoSig*-packed records
-    const uint32_t *pcOff = nullptr; ///< byte offsets from codePc
-    const uint32_t *memIdx = nullptr; ///< record indices of Load/Store
-    uint32_t nRecs = 0;
-    uint32_t nMem = 0;
-    uint64_t codePc = 0;
-    /** Bake identity (jit/lower.cc); two bakes never share an id, so an
-     *  id match proves the record stream is unchanged. */
-    uint64_t streamId = 0;
-    /** SimStream::memoEligible: no call-class records, no unimpl ops. */
-    bool eligible = false;
-};
-
-/**
- * The armed sweep cursor: while the superblock layer has a stream armed,
- * emitters defer matching emissions here (one packed compare + cursor
- * bump, no Core::consume call) instead of stepping them. Memory-op
- * addresses are captured at defer time — the same moment stepping would
- * translate them — so GC address recycling behaves identically.
- */
-struct SweepCtx
-{
-    const uint64_t *sigs = nullptr;
-    const uint32_t *pcOff = nullptr;
-    uint32_t cursor = 0;
-    uint32_t nRecs = 0;
-    uint64_t codePc = 0;
-    /** Translated addresses of the deferred Load/Store records of the
-     *  current segment, in emission order. */
-    std::vector<uint64_t> addrs;
-};
-
 class Core
 {
   public:
     explicit Core(const CoreParams &p = CoreParams());
-    ~Core();
 
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
@@ -335,47 +202,6 @@ class Core
     void
     consume(const Inst &inst)
     {
-        if (memoState_ != 0) {
-            // Superblock safety net: any emission that reaches consume()
-            // while a sweep is armed was not deferred (an impure
-            // annotation, a guard going the other way, an out-of-band
-            // GC/blackhole emission). The memo layer checkpoints or
-            // materializes the deferred prefix first so machine state
-            // and counters are fully caught up before this emission
-            // steps live. Correctness never depends on emitter
-            // cooperation.
-            if (sweepArmed_ && memoSweepInst(inst))
-                return;
-            // Replay fast path: while a recorded block is being skipped
-            // the next emission almost always matches the recorded
-            // stream — verify with one packed compare and advance, no
-            // out-of-line call. An impure annotation packs to sig 0
-            // (kind bits clear), which matches no record, so delimiters
-            // and divergences fall through to the slow path.
-            if (memoSkipCur_ != memoSkipEnd_) {
-                uint64_t sig;
-                if (inst.cls == InstClass::Annot) {
-                    uint32_t tag = annotTag(inst.target);
-                    sig = tag < 32 && !((impureTagMask_ >> tag) & 1u)
-                              ? memoSigAnnot(inst.target)
-                              : 0;
-                } else {
-                    sig = memoSigInst(inst.cls, inst.extraLat,
-                                      inst.taken);
-                }
-                if (sig == memoSkipCur_->sig &&
-                    inst.pc == memoSkipCur_->pc) {
-                    ++memoSkipCur_;
-                    if (inst.cls == InstClass::Load ||
-                        inst.cls == InstClass::Store)
-                        memoLiveDcache(inst);
-                    return;
-                }
-            }
-            if (memoOnInst(inst))
-                return;
-        }
-
         PerfCounters &pc = buckets[bucket];
 
         if (inst.cls == InstClass::Annot) {
@@ -470,21 +296,6 @@ class Core
     {
         if (n == 0)
             return;
-        if (memoState_ != 0) {
-            // See consume(): a straight run reaching here while a sweep
-            // is armed diverged from the baked stream (the emitter would
-            // have deferred a match); catch the machine state up first.
-            if (sweepArmed_)
-                memoSweepStraightMiss();
-            if (memoSkipCur_ != memoSkipEnd_ &&
-                memoSkipCur_->sig == memoSigStraight(cls, extra_lat, n) &&
-                memoSkipCur_->pc == start_pc) {
-                ++memoSkipCur_;
-                return;
-            }
-            if (memoOnStraight(cls, start_pc, n, extra_lat))
-                return;
-        }
         PerfCounters &pc = buckets[bucket];
         pc.instructions += n;
         uint64_t cost =
@@ -517,12 +328,7 @@ class Core
     void setBucket(uint32_t b) { bucket = b < kMaxBuckets ? b : 0; }
     uint32_t currentBucket() const { return bucket; }
 
-    void
-    setAnnotSink(AnnotSink *s)
-    {
-        sink = s;
-        purityValid_ = false; // re-derive the impure-tag mask lazily
-    }
+    void setAnnotSink(AnnotSink *s) { sink = s; }
 
     /**
      * Arm the cycle sampler: deliver one sample to @p s every
@@ -546,81 +352,6 @@ class Core
      */
     void setProfileContext(uint64_t ctx) { sampleCtx_ = ctx; }
     uint64_t profileContext() const { return sampleCtx_; }
-
-    /**
-     * Bracket a memoizable execution region (JIT trace execution).
-     * No-ops when memoization is disabled; sessions nest.
-     * @param est_records  per-block record reserve hint (from the
-     *                     lowered program's baked SimStream).
-     */
-    void memoSessionBegin(uint32_t est_records = 0);
-    void memoSessionEnd();
-
-    /** Block boundary inside a session (trace back-edge). */
-    void memoBoundary();
-
-    /**
-     * Announce the baked emission stream of the trace about to run (or
-     * just entered): the superblock layer arms a deferred sweep over it
-     * at the next session begin / boundary. No-op when memoization is
-     * disabled; safe to call at any time (a stream armed mid-iteration
-     * is checkpointed or materialized first).
-     */
-    void memoSetStream(const StreamView &view);
-
-    /**
-     * Consume an entire baked stream in one batched pass: straight runs
-     * retire without per-instruction calls, I-cache probes of contiguous
-     * fetch runs are coalesced per line, predictor updates happen once
-     * per branch record, and D-cache accesses stay live against
-     * @p mem_addrs (one translated address per Load/Store record, in
-     * record order). Counters and machine state are bit-identical to
-     * emitting the records one by one. The stream must be free of
-     * call-class records; annotation records are charged (annotations /
-     * annotCostFp) but not delivered to the sink, so they must be pure
-     * for the walk to be observationally exact (the memo layer brackets
-     * its internal walks with live impure-annotation delivery).
-     */
-    void consumeStream(const StreamView &view, const uint64_t *mem_addrs,
-                       uint32_t n_mem);
-
-    /**
-     * The armed sweep cursor, or null when no sweep is armed. Emitters
-     * query this per emission (never cache it across emissions) to
-     * defer matching records.
-     */
-    SweepCtx *sweepCtx() { return sweepArmed_ ? &sweep_ : nullptr; }
-
-    /** True when delivering @p tag is currently a no-op for every
-     *  consumer, so a deferred record may elide the delivery. */
-    bool
-    annotDeferable(uint32_t tag) const
-    {
-        return tag < 32 && !((impureTagMask_ >> tag) & 1u);
-    }
-
-    bool memoEnabled() const { return memo_ != nullptr; }
-
-    /** True when the superblock sweep layer is active. */
-    bool superblockEnabled() const;
-
-    /** Aggregate memoization counters (zeros when disabled). */
-    MemoStats memoStats() const;
-
-    /** Aggregate superblock counters (zeros when disabled). */
-    SuperblockStats superblockStats() const;
-
-    /** The memoization engine, for tests (null when disabled). */
-    BlockMemo *memoForTest() { return memo_.get(); }
-
-    /**
-     * Forcibly drop every memo entry (fault injection / chaos testing).
-     * Keeps statistics; by the memo contract the modeled counters are
-     * unaffected — the dropped blocks are simply re-recorded. No-op
-     * when memoization is disabled. Must not be called while a
-     * TraceExecutor session is live.
-     */
-    void memoInvalidateEntries();
 
     const PerfCounters &bucketCounters(uint32_t b) const;
 
@@ -652,44 +383,12 @@ class Core
     const CoreParams &coreParams() const { return params; }
 
   private:
-    /** Out-of-line memo filters (see sim/block_memo.h). */
-    bool memoOnInst(const Inst &inst);
-    bool memoOnStraight(InstClass cls, uint64_t start_pc, uint32_t n,
-                        uint8_t extra_lat);
-
-    /** Out-of-line sweep catch-up paths (see sim/block_memo.h). */
-    bool memoSweepInst(const Inst &inst);
-    void memoSweepStraightMiss();
-
-    /** The live dcache access of a replayed Load/Store record. */
-    void
-    memoLiveDcache(const Inst &inst)
-    {
-        PerfCounters &pc = buckets[bucket];
-        if (!dcache.access(inst.memAddr)) {
-            ++pc.dcacheMisses;
-            if (inst.cls == InstClass::Load) {
-                pc.cyclesFp +=
-                    uint64_t(params.dcacheMissPenalty) * kCycleFp;
-                if (sampleIntervalFp_ != 0)
-                    sampleTick(uint64_t(params.dcacheMissPenalty) *
-                                   kCycleFp,
-                               inst.pc);
-            }
-        }
-    }
-
-    /** Recompute the impure-annotation mask if the sink changed. */
-    void refreshAnnotPurity();
-
     /**
      * Advance the sample clock by a just-charged cost and fire any
      * samples it crossed. Call sites gate on sampleIntervalFp_ != 0 so
      * the disarmed cost is a single compare. @p pc is the modeled pc the
-     * crossing charge is attributed to; batched charges (memo replay,
-     * stream walks) attribute their whole delta to the block-opening pc,
-     * which keeps sampling deterministic for a fixed config without
-     * forcing the replay layers to reconstruct per-instruction clocks.
+     * crossing charge is attributed to; a batched straight run
+     * attributes its whole delta to the run's first pc.
      */
     void
     sampleTick(uint64_t delta_fp, uint64_t pc)
@@ -730,39 +429,12 @@ class Core
     AnnotSink *sink = nullptr;
     uint32_t bucket = 0;
     std::array<PerfCounters, kMaxBuckets> buckets;
-
-    std::unique_ptr<BlockMemo> memo_;
-    /** Nonzero while a memo session is active (hot-path gate). */
-    uint8_t memoState_ = 0;
-    /**
-     * Skip-mode replay cursor, maintained by BlockMemo: non-null only
-     * while a verified entry is being replayed, pointing at the next
-     * expected record. Lets consume()/consumeStraight() verify and
-     * advance inline.
-     */
-    const MemoRec *memoSkipCur_ = nullptr;
-    const MemoRec *memoSkipEnd_ = nullptr;
-    /**
-     * Deferred-sweep cursor, maintained by BlockMemo: armed only while
-     * the superblock layer is sweeping a baked stream. Lives on the core
-     * so sweepCtx() is one load on the emitter fast path.
-     */
-    SweepCtx sweep_;
-    bool sweepArmed_ = false;
     /** Cycle-sampler state; interval 0 = disarmed (hot-path gate). */
     CycleSampleSink *sampleSink_ = nullptr;
     uint64_t sampleIntervalFp_ = 0;
     uint64_t sampleClockFp_ = 0;
     uint64_t nextSampleFp_ = UINT64_MAX;
     uint64_t sampleCtx_ = 0;
-
-    /** Bit per tag < 32: set when some listener consumes the tag. */
-    uint32_t impureTagMask_ = ~0u;
-    bool memoEventsWanted_ = false;
-    bool purityValid_ = false;
-    uint64_t purityGeneration_ = 0;
-
-    friend class BlockMemo;
 };
 
 } // namespace sim

@@ -29,18 +29,6 @@ class BlockEmitter
 
     uint64_t pc() const { return pc_; }
 
-    // While the superblock layer has a sweep armed (Core::sweepCtx()),
-    // an emission matching the baked record stream is *deferred*: one
-    // packed signature compare plus a cursor bump replaces the whole
-    // Core::consume call; Load/Store additionally capture their
-    // translated address (translation happens here, at the same moment
-    // stepping would perform it, so GC address recycling is exact). Any
-    // non-matching emission falls through to the live consume path,
-    // which first materializes the deferred prefix — correctness never
-    // depends on the emitter, the defer is purely an accelerator. The
-    // cursor is re-queried per emission: a live consume can disarm the
-    // sweep at any point, so caching the pointer would dangle.
-
     void
     alu(uint32_t n = 1, uint8_t extra_lat = 0)
     {
@@ -56,11 +44,6 @@ class BlockEmitter
     void
     load(uint64_t addr, uint8_t extra_lat = 0)
     {
-        if (deferMem(memoSigInst(InstClass::Load, extra_lat, false),
-                     addr)) {
-            pc_ += 4;
-            return;
-        }
         Inst i;
         i.cls = InstClass::Load;
         i.pc = step();
@@ -91,10 +74,6 @@ class BlockEmitter
     void
     store(uint64_t addr)
     {
-        if (deferMem(memoSigInst(InstClass::Store, 0, false), addr)) {
-            pc_ += 4;
-            return;
-        }
         Inst i;
         i.cls = InstClass::Store;
         i.pc = step();
@@ -114,12 +93,6 @@ class BlockEmitter
     void
     branch(bool taken)
     {
-        // The branch outcome is part of the baked signature, so a
-        // deferred match proves the guard went its recorded way.
-        if (defer(memoSigInst(InstClass::Branch, 0, taken))) {
-            pc_ += 4;
-            return;
-        }
         Inst i;
         i.cls = InstClass::Branch;
         i.pc = step();
@@ -130,12 +103,6 @@ class BlockEmitter
     void
     jump(uint64_t target)
     {
-        // The target is not in the signature: direct jumps are
-        // state-free in the branch unit (never mispredict, no BTB).
-        if (defer(memoSigInst(InstClass::Jump, 0, false))) {
-            pc_ += 4;
-            return;
-        }
         Inst i;
         i.cls = InstClass::Jump;
         i.pc = step();
@@ -190,57 +157,18 @@ class BlockEmitter
     void
     annot(uint32_t tag, uint32_t payload = 0)
     {
-        uint64_t enc = encodeAnnot(tag, payload);
-        // Only pure annotations may be deferred: the sweep elides their
-        // sink delivery (a declared no-op). An impure one falls through
-        // and acts as a checkpoint in the live path.
-        if (core_.annotDeferable(tag) && defer(memoSigAnnot(enc))) {
-            pc_ += 4;
-            return;
-        }
         Inst i;
         i.cls = InstClass::Annot;
         i.pc = step();
-        i.target = enc;
+        i.target = encodeAnnot(tag, payload);
         core_.consume(i);
     }
 
   private:
-    /** Try to defer one emission record against the armed sweep. */
-    bool
-    defer(uint64_t sig)
-    {
-        SweepCtx *s = core_.sweepCtx();
-        if (s && s->cursor < s->nRecs && s->sigs[s->cursor] == sig &&
-            s->codePc + s->pcOff[s->cursor] == pc_) {
-            ++s->cursor;
-            return true;
-        }
-        return false;
-    }
-
-    /** defer() for Load/Store: also captures the live address. */
-    bool
-    deferMem(uint64_t sig, uint64_t addr)
-    {
-        SweepCtx *s = core_.sweepCtx();
-        if (s && s->cursor < s->nRecs && s->sigs[s->cursor] == sig &&
-            s->codePc + s->pcOff[s->cursor] == pc_) {
-            ++s->cursor;
-            s->addrs.push_back(addr);
-            return true;
-        }
-        return false;
-    }
-
     /** Batched straight-line emission (amortizes per-inst call cost). */
     void
     straight(InstClass cls, uint32_t n, uint8_t extra_lat = 0)
     {
-        if (n != 0 && defer(memoSigStraight(cls, extra_lat, n))) {
-            pc_ += 4ull * n;
-            return;
-        }
         core_.consumeStraight(cls, pc_, n, extra_lat);
         pc_ += 4ull * n;
     }
@@ -256,10 +184,6 @@ class BlockEmitter
     void
     emit(InstClass cls, uint8_t extra_lat = 0)
     {
-        if (defer(memoSigInst(cls, extra_lat, false))) {
-            pc_ += 4;
-            return;
-        }
         Inst i;
         i.cls = cls;
         i.pc = step();

@@ -73,8 +73,7 @@ class VmContext
           env(core, codeSpace, heap, cfg.flavor, cfg.costs),
           gcHooks(env),
           space(env),
-          backend(codeSpace, cfg.jit.fuseMicroOps, cfg.costs.jitLoadStall,
-                  cfg.jit.irNodeAnnotations),
+          backend(codeSpace, cfg.jit.fuseMicroOps),
           registry(heap),
           executor(space, registry, backend, cfg.jit),
           sampler(core, cfg.sampler)

@@ -264,24 +264,6 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
         for (uint32_t k = 0; k < prog->numConsts; ++k)
             R[prog->constBase + k] = cs[k];
         codePc = target->codePc;
-        // Announce the program's baked emission stream to the sim
-        // layer: the superblock sweep arms against it at the next
-        // boundary (sim/block_memo.h). The view holds raw pointers into
-        // prog->sim, which outlives the run (programs persist in the
-        // backend until re-lowering, and re-lowering changes streamId).
-        {
-            const jit::SimStream &ss = prog->sim;
-            sim::StreamView sv;
-            sv.sigs = ss.sigs.data();
-            sv.pcOff = ss.pcOff.data();
-            sv.memIdx = ss.memIdx.data();
-            sv.nRecs = uint32_t(ss.sigs.size());
-            sv.nMem = uint32_t(ss.memIdx.size());
-            sv.codePc = codePc;
-            sv.streamId = ss.streamId;
-            sv.eligible = ss.memoEligible;
-            core.memoSetStream(sv);
-        }
         ++target->executions;
     };
 
@@ -292,19 +274,13 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     }
     enterTrace(&trace, std::move(inputs));
     active.push_back(Level{t, &regs});
-    // Memoizable region: everything emitted from here to leave() runs
-    // under the sim layer's block-memo session (nested run()s stack).
-    core.memoSessionBegin(prog->sim.estRecords);
 
-    // Latency metering anchors. Both read the counters at points where
-    // the replay layers are fully caught up (session begin here, the
-    // memo boundary at each back-edge, session end at leave), so the
-    // recorded distributions are invariant under memo/superblock replay.
+    // Latency metering anchors: trace entry here, each back-edge, and
+    // leave().
     const uint64_t entryFp = core.totalCyclesFp();
     uint64_t iterStartFp = entryFp;
 
     auto leave = [&](DeoptResult &&res) {
-        core.memoSessionEnd();
         execHist_.record((core.totalCyclesFp() - entryFp) / sim::kCycleFp);
         active.pop_back();
         tierFlush(0);
@@ -387,6 +363,10 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
 
     mop = prog->ops.data();
 
+// Every handler must end the lifetime of any local that owns resources
+// (std::vector, DeoptResult, ...) before NEXT/RESTART/DISPATCH: GCC runs
+// no destructors when a computed goto leaves a scope. Scope such locals
+// in an inner block, as the CallAssembler handler does.
 #if XLVM_CGOTO
 #define OP(name) L_##name
 #define DISPATCH() goto *mop->handler
@@ -464,14 +444,8 @@ dispatch_loop:
     OP(Jump) : {
         BEGIN();
         e.jump(codePc);
-        // Loop back-edge: the block-memo/superblock unit of replay.
-        // Must run before a cross-trace enterTrace announces the next
-        // stream — the boundary closes this iteration (full-cursor
-        // sweep checkpoint) so the handover disarms cleanly.
-        core.memoBoundary();
         {
-            // Back-edge-to-back-edge latency, counters fully caught up
-            // by the boundary above.
+            // Back-edge-to-back-edge latency.
             const uint64_t nowFp = core.totalCyclesFp();
             iterHist_.record((nowFp - iterStartFp) / sim::kCycleFp);
             iterStartFp = nowFp;
@@ -992,103 +966,91 @@ dispatch_loop:
     }
 
     OP(CallAssembler) : {
-        const uint64_t pc = codePc + mop->pcOff;
-        sim::BlockEmitter e(core, pc);
-        if (annotate && mop->nodeId >= 0)
-            e.annot(xlayer::kIrNode, uint32_t(mop->nodeId));
-        const uint32_t n = mop->callInsts;
-        e.alu(n / 2 - 1);
-        Trace *inner = registry.byId(mop->aux);
-        e.call(inner->codePc);
-        const jit::Snapshot &snap = t->snapshots[mop->snapshotIdx];
-        std::vector<RtVal> innerIn;
-        innerIn.reserve(mop->extraLen);
+        // innerIn and innerState own heap memory: they must die at the
+        // end of this block, before NEXT() (see the note above OP()).
         {
-            const uint32_t *ax = prog->extra.data() + mop->extraOff;
-            for (uint32_t i = 0; i < mop->extraLen; ++i)
-                innerIn.push_back(R[ax[i]]);
-        }
-        // On an unexpected inner exit the full interpreter state is
-        // the call's recorded outer-frame snapshot (frames[2..])
-        // plus whatever the inner execution reports.
-        auto outerFrames = [&]() {
-            jit::Snapshot outerSnap;
-            outerSnap.frames.assign(snap.frames.begin() + 2,
-                                    snap.frames.end());
-            return materializeState(space, *t, outerSnap, regs);
-        };
-        if (runDepth >= 16) {
-            // Mutually recursive call_assembler chains are bounded
-            // here: the call arguments ARE the inner loop's anchor
-            // frame state, so deoptimize straight to it and let the
-            // interpreter make progress.
-            DeoptResult st = outerFrames();
-            st.traceId = t->id;
-            FrameState fs;
-            fs.code = inner->anchorCode;
-            fs.pc = inner->anchorPc;
-            for (size_t i = 0; i < innerIn.size(); ++i) {
-                W_Object *w = asObj(innerIn[i]);
-                if (i < inner->anchorNumLocals)
-                    fs.locals.push_back(w);
-                else
-                    fs.stack.push_back(w);
+            const uint64_t pc = codePc + mop->pcOff;
+            sim::BlockEmitter e(core, pc);
+            if (annotate && mop->nodeId >= 0)
+                e.annot(xlayer::kIrNode, uint32_t(mop->nodeId));
+            const uint32_t n = mop->callInsts;
+            e.alu(n / 2 - 1);
+            Trace *inner = registry.byId(mop->aux);
+            e.call(inner->codePc);
+            const jit::Snapshot &snap = t->snapshots[mop->snapshotIdx];
+            std::vector<RtVal> innerIn;
+            innerIn.reserve(mop->extraLen);
+            {
+                const uint32_t *ax = prog->extra.data() + mop->extraOff;
+                for (uint32_t i = 0; i < mop->extraLen; ++i)
+                    innerIn.push_back(R[ax[i]]);
             }
-            st.frames.push_back(std::move(fs));
-            return leave(std::move(st));
-        }
-        ++runDepth;
-        DeoptResult innerState = run(*inner, std::move(innerIn));
-        --runDepth;
-        // The nested run flushed tier attribution and closed with tier
-        // 0; cycles from here on belong to this (outer) trace's tier.
-        curTier = t->tier;
-        // The nested run announced its own stream view; re-announce the
-        // outer program's so the next boundary can never arm the sweep
-        // against the inner trace's record stream.
-        {
-            const jit::SimStream &ss = prog->sim;
-            sim::StreamView sv;
-            sv.sigs = ss.sigs.data();
-            sv.pcOff = ss.pcOff.data();
-            sv.memIdx = ss.memIdx.data();
-            sv.nRecs = uint32_t(ss.sigs.size());
-            sv.nMem = uint32_t(ss.memIdx.size());
-            sv.codePc = codePc;
-            sv.streamId = ss.streamId;
-            sv.eligible = ss.memoEligible;
-            core.memoSetStream(sv);
-        }
-        sim::BlockEmitter e2(core, pc + (n / 2 + 1) * 4);
-        e2.ret(pc + (n / 2) * 4);
-        e2.alu(n - n / 2 - 2);
+            // On an unexpected inner exit the full interpreter state is
+            // the call's recorded outer-frame snapshot (frames[2..])
+            // plus whatever the inner execution reports.
+            auto outerFrames = [&]() {
+                jit::Snapshot outerSnap;
+                outerSnap.frames.assign(snap.frames.begin() + 2,
+                                        snap.frames.end());
+                return materializeState(space, *t, outerSnap, regs);
+            };
+            if (runDepth >= 16) {
+                // Mutually recursive call_assembler chains are bounded
+                // here: the call arguments ARE the inner loop's anchor
+                // frame state, so deoptimize straight to it and let the
+                // interpreter make progress.
+                DeoptResult st = outerFrames();
+                st.traceId = t->id;
+                FrameState fs;
+                fs.code = inner->anchorCode;
+                fs.pc = inner->anchorPc;
+                for (size_t i = 0; i < innerIn.size(); ++i) {
+                    W_Object *w = asObj(innerIn[i]);
+                    if (i < inner->anchorNumLocals)
+                        fs.locals.push_back(w);
+                    else
+                        fs.stack.push_back(w);
+                }
+                st.frames.push_back(std::move(fs));
+                return leave(std::move(st));
+            }
+            ++runDepth;
+            DeoptResult innerState = run(*inner, std::move(innerIn));
+            --runDepth;
+            // The nested run flushed tier attribution and closed with tier
+            // 0; cycles from here on belong to this (outer) trace's tier.
+            curTier = t->tier;
+            sim::BlockEmitter e2(core, pc + (n / 2 + 1) * 4);
+            e2.ret(pc + (n / 2) * 4);
+            e2.alu(n - n / 2 - 2);
 
-        // Validate the expected exit contract.
-        const jit::FrameSnapshot &outs = snap.frames[1];
-        bool match = innerState.frames.size() == 1 &&
-                     innerState.frames[0].code == outs.code &&
-                     innerState.frames[0].pc == uint32_t(mop->expect) &&
-                     innerState.frames[0].locals.size() ==
-                         outs.locals.size() &&
-                     innerState.frames[0].stack.size() ==
-                         outs.stack.size();
-        if (!match) {
-            DeoptResult full = outerFrames();
-            full.traceId = innerState.traceId;
-            for (FrameState &fs : innerState.frames)
-                full.frames.push_back(std::move(fs));
-            return leave(std::move(full));
-        }
-        for (size_t i = 0; i < outs.locals.size(); ++i) {
-            if (outs.locals[i] >= 0) {
-                R[outs.locals[i]] =
-                    RtVal::fromRef(innerState.frames[0].locals[i]);
+            // Validate the expected exit contract.
+            const jit::FrameSnapshot &outs = snap.frames[1];
+            bool match = innerState.frames.size() == 1 &&
+                         innerState.frames[0].code == outs.code &&
+                         innerState.frames[0].pc == uint32_t(mop->expect) &&
+                         innerState.frames[0].locals.size() ==
+                             outs.locals.size() &&
+                         innerState.frames[0].stack.size() ==
+                             outs.stack.size();
+            if (!match) {
+                DeoptResult full = outerFrames();
+                full.traceId = innerState.traceId;
+                for (FrameState &fs : innerState.frames)
+                    full.frames.push_back(std::move(fs));
+                return leave(std::move(full));
             }
-        }
-        for (size_t i = 0; i < outs.stack.size(); ++i) {
-            if (outs.stack[i] >= 0) {
-                R[outs.stack[i]] =
-                    RtVal::fromRef(innerState.frames[0].stack[i]);
+            for (size_t i = 0; i < outs.locals.size(); ++i) {
+                if (outs.locals[i] >= 0) {
+                    R[outs.locals[i]] =
+                        RtVal::fromRef(innerState.frames[0].locals[i]);
+                }
+            }
+            for (size_t i = 0; i < outs.stack.size(); ++i) {
+                if (outs.stack[i] >= 0) {
+                    R[outs.stack[i]] =
+                        RtVal::fromRef(innerState.frames[0].stack[i]);
+                }
             }
         }
         NEXT();

@@ -82,10 +82,8 @@ class TraceExecutor : public gc::RootProvider
     /**
      * Distribution of per-iteration modeled-cycle latency, recorded at
      * every loop back-edge (whole cycles, back-edge to back-edge).
-     * Measured right after the memo boundary, where the replay layers
-     * have fully caught counters up, so the distribution is
-     * bit-identical with memoization/superblock replay on or off —
-     * which lets its percentiles live in the golden-gated metrics.
+     * Deterministic, so its percentiles live in the golden-gated
+     * metrics.
      */
     const common::Histogram &iterationLatency() const { return iterHist_; }
 

@@ -18,6 +18,11 @@
 namespace xlvm {
 namespace xlayer {
 
+/**
+ * Tag numbers are part of the trace-file format: a retired number is
+ * never reused, so an old trace that carries one still loads (its
+ * events show up under their numeric tag).
+ */
 enum AnnotTag : uint32_t
 {
     /** Framework level: phase transitions. payload = Phase. */
@@ -63,16 +68,7 @@ enum AnnotTag : uint32_t
     /** Application level: user-defined event. payload = event id. */
     kAppEvent = 15,
 
-    /**
-     * Sim level: block-memoization telemetry. Unlike the tags above these
-     * are not carried by Annot instructions (that would perturb the very
-     * counters memoization must preserve); they arrive out of band via
-     * AnnotSink::onMemoEvent and are only delivered to listeners that
-     * opt in with wantsMemoEvents(). payload = hash of the block key.
-     */
-    kMemoHit = 16,
-    kMemoInvalidate = 17,
-    kMemoMiss = 18,
+    // Tags 16-18 are retired (former sim-layer replay telemetry).
 
     /**
      * Framework level: multi-tier JIT lifecycle. kTier1Compile marks a
@@ -84,15 +80,7 @@ enum AnnotTag : uint32_t
     kTierUp = 19,
     kTier1Compile = 20,
 
-    /**
-     * Sim level: superblock-replay telemetry (same out-of-band channel
-     * as the kMemo* tags). kSuperblockHit marks one whole-segment
-     * counter-delta replay, kSuperblockDiverge marks a sweep that had to
-     * fall back to live stepping mid-iteration. payload = hash of the
-     * stream's codePc.
-     */
-    kSuperblockHit = 21,
-    kSuperblockDiverge = 22,
+    // Tags 21-22 are retired (former sim-layer replay telemetry).
 
     /**
      * Framework level: fault containment (schema v7). kTraceAborted

@@ -39,12 +39,6 @@ class AotCallProfiler : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
-    bool
-    ignoresTag(uint32_t tag) const override
-    {
-        return tag != kAotEnter && tag != kAotExit;
-    }
-
     /**
      * Per-function stats sorted by descending cycles.
      * @param min_share only functions with at least this share of

@@ -13,23 +13,11 @@
 
 #include <vector>
 
-#include "sim/block_memo.h"
 #include "sim/core.h"
 #include "xlayer/annot.h"
 
 namespace xlvm {
 namespace xlayer {
-
-// The sim layer cannot include xlayer headers, so it defines its own memo
-// event constants; keep the two vocabularies pinned together.
-static_assert(kMemoHit == sim::kMemoEventHit, "memo tag mismatch");
-static_assert(kMemoInvalidate == sim::kMemoEventInvalidate,
-              "memo tag mismatch");
-static_assert(kMemoMiss == sim::kMemoEventMiss, "memo tag mismatch");
-static_assert(kSuperblockHit == sim::kMemoEventSuperblockHit,
-              "memo tag mismatch");
-static_assert(kSuperblockDiverge == sim::kMemoEventSuperblockDiverge,
-              "memo tag mismatch");
 
 /** One instrumentation tool subscribed to the bus. */
 class AnnotListener
@@ -37,21 +25,6 @@ class AnnotListener
   public:
     virtual ~AnnotListener() = default;
     virtual void onAnnot(uint32_t tag, uint32_t payload) = 0;
-
-    /**
-     * True when onAnnot(tag, ...) is a no-op in the listener's *current*
-     * state — the memo layer may then elide the delivery when replaying a
-     * recorded block. Conservative default: every tag matters. Listeners
-     * whose answer can change over time (e.g. a profiler arming itself)
-     * must keep this conservative or rely on the bus generation bump.
-     */
-    virtual bool ignoresTag(uint32_t /*tag*/) const { return false; }
-
-    /** Opt-in for the out-of-band memo telemetry channel. */
-    virtual bool wantsMemoEvents() const { return false; }
-
-    /** Delivery of one memo event (only if wantsMemoEvents()). */
-    virtual void onMemoEvent(uint32_t /*tag*/, uint32_t /*payload*/) {}
 };
 
 class AnnotationBus : public sim::AnnotSink
@@ -69,41 +42,7 @@ class AnnotationBus : public sim::AnnotSink
             l->onAnnot(tag, payload);
     }
 
-    /** An annotation tag is pure iff every listener ignores it. */
-    bool
-    annotPure(uint32_t tag) const override
-    {
-        for (AnnotListener *l : listeners)
-            if (!l->ignoresTag(tag))
-                return false;
-        return true;
-    }
-
-    uint64_t annotGeneration() const override { return generation_; }
-
-    bool
-    memoEventsWanted() const override
-    {
-        for (AnnotListener *l : listeners)
-            if (l->wantsMemoEvents())
-                return true;
-        return false;
-    }
-
-    void
-    onMemoEvent(uint32_t tag, uint32_t payload) override
-    {
-        for (AnnotListener *l : listeners)
-            if (l->wantsMemoEvents())
-                l->onMemoEvent(tag, payload);
-    }
-
-    void
-    addListener(AnnotListener *l)
-    {
-        listeners.push_back(l);
-        ++generation_;
-    }
+    void addListener(AnnotListener *l) { listeners.push_back(l); }
 
     void
     removeListener(AnnotListener *l)
@@ -111,25 +50,16 @@ class AnnotationBus : public sim::AnnotSink
         for (size_t i = 0; i < listeners.size(); ++i) {
             if (listeners[i] == l) {
                 listeners.erase(listeners.begin() + i);
-                ++generation_;
                 return;
             }
         }
     }
-
-    /**
-     * Listeners whose ignoresTag answers depend on mutable state (bin
-     * timelines being armed, trace buffers resizing) call this after such
-     * a change so the core re-queries purity at the next session start.
-     */
-    void notePurityChanged() { ++generation_; }
 
     sim::Core &core() { return core_; }
 
   private:
     sim::Core &core_;
     std::vector<AnnotListener *> listeners;
-    uint64_t generation_ = 0;
 };
 
 } // namespace xlayer

@@ -21,30 +21,6 @@ class EventProfiler : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
-    bool
-    ignoresTag(uint32_t tag) const override
-    {
-        switch (tag) {
-          case kLoopCompiled:
-          case kBridgeCompiled:
-          case kTraceAborted:
-          case kTraceEnter:
-          case kDeopt:
-          case kGcMinor:
-          case kGcMajor:
-          case kAppEvent:
-          case kTierUp:
-          case kTier1Compile:
-          case kTraceBlacklisted:
-          case kTraceRearmed:
-          case kTraceEvicted:
-          case kCompileDowngrade:
-            return false;
-          default:
-            return true;
-        }
-    }
-
     uint64_t loopsCompiled = 0;
     uint64_t bridgesCompiled = 0;
     uint64_t tracesAborted = 0;

@@ -28,8 +28,6 @@ class IrNodeProfiler : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
-    bool ignoresTag(uint32_t tag) const override { return tag != kIrNode; }
-
     /** Dynamic execution count per global IR node id. */
     const std::vector<uint64_t> &execCounts() const { return counts; }
 

@@ -41,19 +41,6 @@ class PhaseProfiler : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
-    /**
-     * With a timeline armed, maybeCloseBin() runs on *every* annotation
-     * and snapshots cycles the moment a bin boundary is crossed, so no
-     * tag is ignorable; otherwise only phase transitions matter.
-     */
-    bool
-    ignoresTag(uint32_t tag) const override
-    {
-        if (binInstrs != 0)
-            return false;
-        return tag != kPhaseEnter && tag != kPhaseExit;
-    }
-
     Phase currentPhase() const;
 
     /** Final per-phase counters (valid after the run). */

@@ -73,12 +73,11 @@ traceTagBit(uint32_t tag)
 
 /**
  * Default recording mask: every framework-level event (phases, JIT
- * lifecycle, trace entry/exit, deopt, GC, app events) plus the rare
- * sim-memoization events (misses and invalidations). The per-dispatch
- * and per-IR-node firehoses (kDispatch, kIrNode), the per-call AOT
- * pair (kAotEnter/kAotExit), and per-block kMemoHit are excluded — they
- * are well covered by the aggregate profilers and would flush the ring
- * within milliseconds (opt into hits with --trace-tags).
+ * lifecycle, trace entry/exit, deopt, GC, app events). The per-dispatch
+ * and per-IR-node firehoses (kDispatch, kIrNode) and the per-call AOT
+ * pair (kAotEnter/kAotExit) are excluded — they are well covered by the
+ * aggregate profilers and would flush the ring within milliseconds (opt
+ * in with --trace-tags).
  */
 constexpr uint32_t kDefaultTraceTagMask =
     traceTagBit(kPhaseEnter) | traceTagBit(kPhaseExit) |
@@ -86,17 +85,8 @@ constexpr uint32_t kDefaultTraceTagMask =
     traceTagBit(kTraceAborted) | traceTagBit(kTraceEnter) |
     traceTagBit(kTraceLeave) | traceTagBit(kDeopt) |
     traceTagBit(kGcMinor) | traceTagBit(kGcMajor) |
-    traceTagBit(kAppEvent) | traceTagBit(kMemoInvalidate) |
-    traceTagBit(kMemoMiss) | traceTagBit(kTierUp) |
-    traceTagBit(kTier1Compile) | traceTagBit(kSuperblockDiverge);
-
-/** All memo telemetry tags (out-of-band channel, see AnnotListener).
- *  kSuperblockHit is per-iteration (one event per replayed loop trip),
- *  so like kMemoHit it is excluded from the default recording mask. */
-constexpr uint32_t kMemoEventTagMask =
-    traceTagBit(kMemoHit) | traceTagBit(kMemoInvalidate) |
-    traceTagBit(kMemoMiss) | traceTagBit(kSuperblockHit) |
-    traceTagBit(kSuperblockDiverge);
+    traceTagBit(kAppEvent) | traceTagBit(kTierUp) |
+    traceTagBit(kTier1Compile);
 
 /** Tags that additionally snapshot the cross-layer counter gauges. */
 constexpr uint32_t kCounterSampleTagMask =
@@ -140,25 +130,6 @@ class EventTracer : public AnnotListener
     ~EventTracer() override;
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
-
-    bool
-    ignoresTag(uint32_t tag) const override
-    {
-        return capacity_ == 0 || tag >= 32 || !((tagMask_ >> tag) & 1u);
-    }
-
-    bool
-    wantsMemoEvents() const override
-    {
-        return capacity_ != 0 && (tagMask_ & kMemoEventTagMask) != 0;
-    }
-
-    /** Memo events share the annotation record format and ring. */
-    void
-    onMemoEvent(uint32_t tag, uint32_t payload) override
-    {
-        onAnnot(tag, payload);
-    }
 
     bool enabled() const { return capacity_ != 0; }
     uint64_t capacityEvents() const { return capacity_; }

@@ -43,8 +43,6 @@ class WorkRateProfiler : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
-    bool ignoresTag(uint32_t tag) const override { return tag != kDispatch; }
-
     uint64_t totalWork() const { return work; }
     const std::vector<WorkSample> &samples() const { return samples_; }
 

@@ -17,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "driver/runner.h"
+#include "minipy/compiler.h"
+#include "minipy/interp.h"
+#include "vm/context.h"
 
 namespace xlvm {
 namespace {
@@ -71,6 +74,55 @@ TEST(KnownIssues, Hexiom2Threshold130CompletesInAllTierModes)
             0u)
             << "tier mode " << vm::tierModeName(mode);
     }
+}
+
+/**
+ * CLOSED — a matched call_assembler exit leaked the nested run's
+ * DeoptResult (its FrameState vectors, ~300 KB per `go` run): the
+ * executor's CallAssembler handler dispatched the next micro-op by
+ * computed goto while the result was still in scope, and GCC runs no
+ * destructors on that jump. The handler now ends its locals' lifetime
+ * before dispatch.
+ *
+ * The regression guard runs nested loops whose outer trace calls the
+ * inner one through call_assembler, with every inner exit matching the
+ * recorded contract. The leak itself is only visible to a leak checker:
+ * the sanitizer CI job runs this binary under AddressSanitizer, whose
+ * exit-time leak check fails the job if the result is not destroyed.
+ */
+TEST(KnownIssues, MatchedCallAssemblerExitFreesInnerState)
+{
+    vm::VmConfig cfg;
+    cfg.jit.loopThreshold = 10;
+    // No bridges: the inner loop's exit guard must stay a plain deopt,
+    // so the hot outer loop records the inner one as call_assembler.
+    cfg.jit.bridgeThreshold = 1000000;
+    vm::VmContext ctx(cfg);
+    auto prog = minipy::compileSource("t = 0\n"
+                                      "i = 0\n"
+                                      "while i < 200:\n"
+                                      "    j = 0\n"
+                                      "    while j < 40:\n"
+                                      "        t += j\n"
+                                      "        j += 1\n"
+                                      "    i += 1\n"
+                                      "print(t)\n",
+                                      ctx.space);
+    minipy::Interp interp(ctx, *prog);
+    ASSERT_TRUE(interp.run());
+    EXPECT_EQ(interp.output(), "156000\n");
+
+    // The outer loop's trace holds the call_assembler and ran compiled.
+    uint64_t callerExecutions = 0;
+    for (const auto &t : ctx.registry.all()) {
+        if (!t)
+            continue;
+        for (const jit::ResOp &op : t->ops) {
+            if (op.op == jit::IrOp::CallAssembler)
+                callerExecutions += t->executions;
+        }
+    }
+    EXPECT_GT(callerExecutions, 0u);
 }
 
 } // namespace

@@ -8,10 +8,10 @@
  * execution count crosses tier2Threshold, and Tier2 (the default)
  * reproduces the pre-tiering pipeline exactly. Mechanically, promotion
  * must be safe against everything that can race it: a guard-side bridge
- * getting hot while the promotion is pending, sim-layer memo records
- * tombstoned by the arena moving on, and parallel sweeps interleaving
- * runs. The tests here pin both halves, plus the XLVM_TIER_MODE env
- * hatch and the degenerate threshold==0 configurations.
+ * getting hot while the promotion is pending, and parallel sweeps
+ * interleaving runs. The tests here pin both halves, plus the
+ * XLVM_TIER_MODE env hatch and the degenerate threshold==0
+ * configurations.
  */
 
 #include <gtest/gtest.h>
@@ -217,32 +217,6 @@ TEST(TierRace, PromotionCoexistsWithHotGuardBridges)
     EXPECT_EQ(a.tier1Compiles, a.loopsCompiled + a.bridgesCompiled);
 
     expectModeledCountersIdentical(a, b);
-}
-
-// ---- promotion vs. sim-layer memoization ------------------------------
-
-TEST(TierMemo, PromotionAfterTombstonedMemoRecordsStaysExact)
-{
-    // Promotion re-lowers a trace into fresh code-arena space; the memo
-    // entries recorded against the baseline body are never re-keyed —
-    // they are simply abandoned (tombstoned by icache pressure) while
-    // the optimized body records anew. Modeled counters must stay
-    // bit-identical with memoization on or off through that turnover.
-    driver::RunOptions o = baseOptions("crypto_pyaes", 60);
-    o.tierMode = vm::TierMode::Multi;
-
-    driver::RunOptions memoOn = o;
-    memoOn.simMemo = true;
-    driver::RunOptions memoOff = o;
-    memoOff.simMemo = false;
-
-    driver::RunResult a = driver::runWorkload(memoOn);
-    driver::RunResult b = driver::runWorkload(memoOff);
-
-    expectModeledCountersIdentical(a, b);
-    EXPECT_GT(a.tierPromotions, 0u);
-    EXPECT_GT(a.memoHits, 0u);
-    EXPECT_EQ(b.memoHits, 0u);
 }
 
 // ---- parallel sweeps --------------------------------------------------

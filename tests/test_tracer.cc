@@ -497,8 +497,9 @@ TEST(CorruptInput, TruncatedFileFailsParseWithClearError)
 TEST(CorruptInput, SummarizeToleratesRecordsWithMissingFields)
 {
     // Parseable JSON whose events lost fields (hand-edited or produced
-    // by a foreign tool): summarize and the text renderer must not
-    // crash and must keep the well-formed events visible.
+    // by a foreign tool), or carry retired tag numbers (16 and 22, from
+    // an older build): summarize and the text renderer must not crash
+    // and must keep the well-formed events visible.
     const char *text =
         "{\"traceEvents\": ["
         "{\"ph\": \"B\", \"args\": {\"tag\": 1, \"payload\": 2}},"
@@ -506,6 +507,10 @@ TEST(CorruptInput, SummarizeToleratesRecordsWithMissingFields)
         " \"args\": {\"tag\": 2, \"payload\": 2}},"
         "{\"ph\": \"i\"},"
         "{\"name\": \"deopt\", \"ph\": \"i\", \"args\": {\"tag\": 9}},"
+        "{\"name\": \"memo_hit\", \"ph\": \"i\","
+        " \"args\": {\"tag\": 16, \"payload\": 3}},"
+        "{\"name\": \"superblock_diverge\", \"ph\": \"i\","
+        " \"args\": {\"tag\": 22}},"
         "{\"ph\": \"C\"}"
         "]}";
     std::string err;
@@ -513,7 +518,14 @@ TEST(CorruptInput, SummarizeToleratesRecordsWithMissingFields)
     ASSERT_TRUE(err.empty()) << err;
 
     report::Json summary = report::summarizeChromeTrace(doc, 5);
-    EXPECT_EQ(summary.get("total_events")->asUInt(), 5u);
+    EXPECT_EQ(summary.get("total_events")->asUInt(), 7u);
+    // Retired tags stay visible under their numeric label.
+    const report::Json *instants = summary.get("instants");
+    ASSERT_NE(instants, nullptr);
+    ASSERT_NE(instants->get("tag<16>"), nullptr);
+    EXPECT_EQ(instants->get("tag<16>")->asUInt(), 1u);
+    ASSERT_NE(instants->get("tag<22>"), nullptr);
+    EXPECT_EQ(instants->get("tag<22>")->asUInt(), 1u);
     EXPECT_EQ(summary.get("counter_samples")->asUInt(), 1u);
     // The nameless phase event lands in the "?" bucket.
     const report::Json *phases = summary.get("phase_events");

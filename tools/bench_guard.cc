@@ -5,39 +5,28 @@
  * Checks properties of freshly generated metrics reports against a
  * committed baseline (ci/bench_smoke_baseline.json):
  *
- *  1. Replay effectiveness: the aggregate replay hit rate across all
- *     fresh runs must meet --min-hit-rate. Since PR 8 the sim layer has
- *     two replay tiers — superblock segments absorb lookups that would
- *     otherwise hit the block memo — so the rate blends both:
- *     (memo.hits + sb.hits) / (all memo + sb lookups). A silent drop
- *     (an over-eager invalidation, a signature change that stops blocks
- *     from verifying) does not move any modeled counter, so the golden
- *     gate cannot see it — this guard can. --min-sb-hit-rate adds an
- *     optional floor on the superblock layer alone, so block memo
- *     picking up absorbed traffic cannot mask a dead sweep.
- *
- *  2. Modeled-cost regression: per matched run (workload + vm +
+ *  1. Modeled-cost regression: per matched run (workload + vm +
  *     tier mode), the fresh totals/cycles_fp may not exceed the
  *     baseline by more than --max-regression (default 10%). This is a
  *     coarse tripwire for the reduced smoke sweep; the golden gate pins
  *     exact values for the full set.
  *
- *  3. Tiering health (schema v4): --min-promotions asserts the multi
+ *  2. Tiering health (schema v4): --min-promotions asserts the multi
  *     mode smoke run actually promotes traces, and --max-tier1-share
  *     bounds the fraction of modeled compile work spent at tier 1
  *     (tier1_compile_insts / all compile insts). Both gates pass
  *     trivially when the report has no jit_tiers activity, so a
  *     default-mode-only invocation is unaffected.
  *
- *  4. Microbenchmark gate (--gbench): reads a gbench_trace_exec
- *     --benchmark_format=json output and checks the BM_SimStream_*
- *     family. Two properties: the best per-shape superblock-vs-blockmemo
- *     CPU-time ratio must meet --min-sb-speedup (the isolated-sweep
- *     speedup claim, a ratio within one process so host noise mostly
- *     cancels), and every variant of a shape must report the same
- *     modeled_cpi within a small tolerance (replay layers must not move
- *     modeled cycles per op — the microbench cross-check of the golden
- *     gate's bit-exactness contract).
+ *  3. Microbenchmark gate (--gbench): reads a gbench_trace_exec
+ *     --benchmark_format=json output and checks the BM_SimStep_*
+ *     family. Every variant of a shape must report the same
+ *     modeled_cpi within a small tolerance (the armed sampler must not
+ *     move modeled cycles per op — the microbench cross-check of the
+ *     golden gate's bit-exactness contract), and with
+ *     --max-sampler-overhead the best per-shape cpu_time overhead of
+ *     the Prof variant over the Plain one must stay under the cap (a
+ *     ratio within one process, so host noise mostly cancels).
  *
  * Accepts any number of fresh reports: the LAST positional is always
  * the baseline, every earlier one is a fresh report (so CI can feed the
@@ -70,26 +59,18 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <fresh.json>... <baseline.json> [--min-hit-rate X]\n"
-        "          [--min-sb-hit-rate X] [--max-regression X]\n"
+        "usage: %s <fresh.json>... <baseline.json> [--max-regression X]\n"
         "          [--min-promotions N] [--max-tier1-share X]\n"
-        "          [--gbench FILE] [--min-sb-speedup X] [--update]\n"
+        "          [--gbench FILE] [--max-sampler-overhead X] [--update]\n"
         "\n"
         "  The last positional is the baseline; all earlier ones are\n"
         "  fresh reports (their runs are checked, and merged, in order).\n"
         "\n"
-        "  --min-hit-rate X     minimum aggregate replay hit rate, block\n"
-        "                       memo and superblock blended (default 0.5)\n"
-        "  --min-sb-hit-rate X  minimum aggregate sim_superblock hit rate\n"
-        "                       across fresh runs (default: no gate;\n"
-        "                       fails on zero superblock activity)\n"
         "  --gbench FILE        gbench_trace_exec JSON output to check\n"
-        "                       (BM_SimStream_* speedup + modeled_cpi)\n"
-        "  --min-sb-speedup X   minimum best-shape superblock-vs-blockmemo\n"
-        "                       CPU-time ratio in --gbench (default 5.0)\n"
+        "                       (BM_SimStep_* modeled_cpi agreement)\n"
         "  --max-sampler-overhead X  maximum best-shape relative cpu_time\n"
-        "                       overhead of BM_SimStream_SuperblockProf\n"
-        "                       over BM_SimStream_Superblock in --gbench\n"
+        "                       overhead of BM_SimStep_Prof over\n"
+        "                       BM_SimStep_Plain in --gbench\n"
         "                       (default: no gate)\n"
         "  --max-regression X   maximum allowed relative increase of a\n"
         "                       run's totals/cycles_fp over the baseline\n"
@@ -141,13 +122,10 @@ main(int argc, char **argv)
     using namespace xlvm::report;
 
     std::vector<std::string> paths; // fresh..., baseline last
-    double minHitRate = 0.5;
-    double minSbHitRate = -1.0; // < 0 = gate off
     double maxRegression = 0.10;
     uint64_t minPromotions = 0;
     double maxTier1Share = -1.0; // < 0 = gate off
     std::string gbenchPath;
-    double minSbSpeedup = 5.0;
     double maxSamplerOverhead = -1.0; // < 0 = gate off
     bool update = false;
 
@@ -155,24 +133,10 @@ main(int argc, char **argv)
         const char *a = argv[i];
         if (std::strcmp(a, "--update") == 0) {
             update = true;
-        } else if (std::strcmp(a, "--min-hit-rate") == 0 && i + 1 < argc) {
-            minHitRate = std::strtod(argv[++i], nullptr);
-        } else if (std::strncmp(a, "--min-hit-rate=", 15) == 0) {
-            minHitRate = std::strtod(a + 15, nullptr);
-        } else if (std::strcmp(a, "--min-sb-hit-rate") == 0 &&
-                   i + 1 < argc) {
-            minSbHitRate = std::strtod(argv[++i], nullptr);
-        } else if (std::strncmp(a, "--min-sb-hit-rate=", 18) == 0) {
-            minSbHitRate = std::strtod(a + 18, nullptr);
         } else if (std::strcmp(a, "--gbench") == 0 && i + 1 < argc) {
             gbenchPath = argv[++i];
         } else if (std::strncmp(a, "--gbench=", 9) == 0) {
             gbenchPath = a + 9;
-        } else if (std::strcmp(a, "--min-sb-speedup") == 0 &&
-                   i + 1 < argc) {
-            minSbSpeedup = std::strtod(argv[++i], nullptr);
-        } else if (std::strncmp(a, "--min-sb-speedup=", 17) == 0) {
-            minSbSpeedup = std::strtod(a + 17, nullptr);
         } else if (std::strcmp(a, "--max-sampler-overhead") == 0 &&
                    i + 1 < argc) {
             maxSamplerOverhead = std::strtod(argv[++i], nullptr);
@@ -278,69 +242,7 @@ main(int argc, char **argv)
 
     int fail = 0;
 
-    // 1. Aggregate replay hit rate, block memo and superblock blended
-    // (superblock segments absorb lookups the memo would otherwise
-    // serve, so neither layer's rate is meaningful alone).
-    uint64_t hits = 0, misses = 0, sbHits = 0, sbMisses = 0;
-    for (const Json *run : freshRuns) {
-        const Json *h = runMetric(*run, "sim_memo", "hits");
-        const Json *m = runMetric(*run, "sim_memo", "misses");
-        const Json *sh = runMetric(*run, "sim_superblock", "hits");
-        const Json *sm = runMetric(*run, "sim_superblock", "misses");
-        hits += h ? h->asUInt() : 0;
-        misses += m ? m->asUInt() : 0;
-        sbHits += sh ? sh->asUInt() : 0;
-        sbMisses += sm ? sm->asUInt() : 0;
-    }
-    uint64_t lookups = hits + misses + sbHits + sbMisses;
-    if (lookups == 0) {
-        std::fprintf(stderr,
-                     "FAIL: no sim_memo/sim_superblock activity in the "
-                     "fresh reports — the smoke sweep must run with the "
-                     "replay layers enabled\n");
-        fail = 1;
-    } else {
-        double rate = double(hits + sbHits) / double(lookups);
-        std::printf("replay aggregate hit rate: %.4f "
-                    "(memo %llu/%llu, superblock %llu/%llu, floor "
-                    "%.2f)\n",
-                    rate, (unsigned long long)hits,
-                    (unsigned long long)(hits + misses),
-                    (unsigned long long)sbHits,
-                    (unsigned long long)(sbHits + sbMisses), minHitRate);
-        if (rate < minHitRate) {
-            std::fprintf(stderr,
-                         "FAIL: blended replay hit rate %.4f below "
-                         "floor %.2f\n",
-                         rate, minHitRate);
-            fail = 1;
-        }
-    }
-    if (minSbHitRate >= 0.0) {
-        if (sbHits + sbMisses == 0) {
-            std::fprintf(stderr,
-                         "FAIL: --min-sb-hit-rate given but the fresh "
-                         "reports have no superblock activity — the "
-                         "sweep layer is not arming\n");
-            fail = 1;
-        } else {
-            double rate = double(sbHits) / double(sbHits + sbMisses);
-            std::printf("sim_superblock aggregate hit rate: %.4f "
-                        "(%llu / %llu, floor %.2f)\n",
-                        rate, (unsigned long long)sbHits,
-                        (unsigned long long)(sbHits + sbMisses),
-                        minSbHitRate);
-            if (rate < minSbHitRate) {
-                std::fprintf(stderr,
-                             "FAIL: sim_superblock hit rate %.4f below "
-                             "floor %.2f\n",
-                             rate, minSbHitRate);
-                fail = 1;
-            }
-        }
-    }
-
-    // 2. Tiering health: promotions floor + tier-1 compile-work cap.
+    // 1. Tiering health: promotions floor + tier-1 compile-work cap.
     uint64_t promotions = 0, t1Insts = 0, t2Insts = 0;
     for (const Json *run : freshRuns) {
         const Json *p = runMetric(*run, "jit_tiers", "promotions");
@@ -381,7 +283,7 @@ main(int argc, char **argv)
         }
     }
 
-    // 3. Per-run modeled-cost regression vs baseline.
+    // 2. Per-run modeled-cost regression vs baseline.
     for (const Json *run : freshRuns) {
         std::string key = runKey(*run);
         const Json *match = nullptr;
@@ -417,9 +319,9 @@ main(int argc, char **argv)
             fail = 1;
     }
 
-    // 4. gbench_trace_exec microbenchmark gate: isolated superblock
-    // speedup (a within-process ratio, so host noise mostly cancels)
-    // plus modeled_cpi agreement across the variants of each shape.
+    // 3. gbench_trace_exec microbenchmark gate: modeled_cpi agreement
+    // across the variants of each shape, plus the armed-sampler
+    // overhead (a within-process ratio, so host noise mostly cancels).
     if (!gbenchPath.empty()) {
         std::ifstream gf(gbenchPath, std::ios::binary);
         if (!gf) {
@@ -430,7 +332,7 @@ main(int argc, char **argv)
         std::string text((std::istreambuf_iterator<char>(gf)),
                          std::istreambuf_iterator<char>());
         // google-benchmark emits bare NaN/Infinity tokens for aggregate
-        // statistics of zero-mean counters (e.g. the cv of a hit rate
+        // statistics of zero-mean counters (e.g. the cv of a counter
         // that is identically 0); they are not valid JSON, so neutralize
         // them outside string literals before parsing.
         bool instr = false;
@@ -490,7 +392,7 @@ main(int argc, char **argv)
                 if (isMedian && name.size() > sufLen &&
                     name.compare(name.size() - sufLen, sufLen, kSuf) == 0)
                     name.resize(name.size() - sufLen);
-                static const char kPfx[] = "BM_SimStream_";
+                static const char kPfx[] = "BM_SimStep_";
                 const size_t pfxLen = sizeof(kPfx) - 1;
                 if (name.compare(0, pfxLen, kPfx) != 0)
                     continue;
@@ -509,18 +411,16 @@ main(int argc, char **argv)
             shapes = std::move(medians);
         if (shapes.empty()) {
             std::fprintf(stderr,
-                         "FAIL: %s has no BM_SimStream_* entries — was "
+                         "FAIL: %s has no BM_SimStep_* entries — was "
                          "the bench filtered out?\n",
                          gbenchPath.c_str());
             fail = 1;
         }
-        double best = 0.0;
-        std::string bestShape;
         for (const auto &sv : shapes) {
             // modeled_cpi agreement: every variant models the same
-            // instruction stream, so the replay layers must not move
-            // cycles per op (tolerance covers warmup-fraction jitter
-            // from differing gbench iteration counts).
+            // instruction stream, so the sampler must not move cycles
+            // per op (tolerance covers warmup-fraction jitter from
+            // differing gbench iteration counts).
             double lo = 0.0, hi = 0.0;
             bool any = false;
             for (const auto &vv : sv.second) {
@@ -533,50 +433,16 @@ main(int argc, char **argv)
             if (any && hi - lo > 0.005) {
                 std::fprintf(stderr,
                              "FAIL: modeled_cpi drift %.6f..%.6f across "
-                             "BM_SimStream_*%s variants — a replay "
-                             "layer is changing modeled counters\n",
+                             "BM_SimStep_*%s variants — a variant "
+                             "is changing modeled counters\n",
                              lo, hi, sv.first.c_str());
                 fail = 1;
             }
-            auto bmIt = sv.second.find("BlockMemo");
-            auto sbIt = sv.second.find("Superblock");
-            if (bmIt == sv.second.end() || sbIt == sv.second.end() ||
-                sbIt->second.cpu <= 0.0)
-                continue;
-            double ratio = bmIt->second.cpu / sbIt->second.cpu;
-            std::printf("gbench %s: superblock %.0f vs block-memo %.0f "
-                        "cpu -> %.2fx\n",
-                        sv.first.c_str(), sbIt->second.cpu,
-                        bmIt->second.cpu, ratio);
-            if (ratio > best) {
-                best = ratio;
-                bestShape = sv.first;
-            }
-        }
-        if (!shapes.empty()) {
-            if (best <= 0.0) {
-                std::fprintf(stderr,
-                             "FAIL: no shape with both BlockMemo and "
-                             "Superblock variants in %s\n",
-                             gbenchPath.c_str());
-                fail = 1;
-            } else {
-                std::printf("superblock best-shape speedup: %.2fx on %s "
-                            "(floor %.2f)\n",
-                            best, bestShape.c_str(), minSbSpeedup);
-                if (best < minSbSpeedup) {
-                    std::fprintf(stderr,
-                                 "FAIL: superblock speedup %.2fx below "
-                                 "floor %.2fx\n",
-                                 best, minSbSpeedup);
-                    fail = 1;
-                }
-            }
         }
 
-        // Sampler wall-clock overhead: SuperblockProf runs the same
-        // sweep with the cycle sampler armed, so its cpu_time over the
-        // plain variant is the armed-sampler cost. Gate on the best
+        // Sampler wall-clock overhead: Prof steps the same body with
+        // the cycle sampler armed, so its cpu_time over the Plain
+        // variant is the armed-sampler cost. Gate on the best
         // (lowest-overhead) shape — a within-process ratio, but CI
         // runners are noisy enough that the worst shape would flake.
         if (maxSamplerOverhead >= 0.0) {
@@ -584,16 +450,16 @@ main(int argc, char **argv)
             double bestOv = 0.0; // can be negative: noise on fast shapes
             std::string bestOvShape;
             for (const auto &sv : shapes) {
-                auto sbIt = sv.second.find("Superblock");
-                auto pfIt = sv.second.find("SuperblockProf");
-                if (sbIt == sv.second.end() || pfIt == sv.second.end() ||
-                    sbIt->second.cpu <= 0.0)
+                auto plIt = sv.second.find("Plain");
+                auto pfIt = sv.second.find("Prof");
+                if (plIt == sv.second.end() || pfIt == sv.second.end() ||
+                    plIt->second.cpu <= 0.0)
                     continue;
-                double ov = pfIt->second.cpu / sbIt->second.cpu - 1.0;
+                double ov = pfIt->second.cpu / plIt->second.cpu - 1.0;
                 std::printf("gbench %s: sampler-on %.0f vs off %.0f cpu "
                             "-> %+.2f%% overhead\n",
                             sv.first.c_str(), pfIt->second.cpu,
-                            sbIt->second.cpu, ov * 100.0);
+                            plIt->second.cpu, ov * 100.0);
                 if (!ovFound || ov < bestOv) {
                     ovFound = true;
                     bestOv = ov;
@@ -603,8 +469,8 @@ main(int argc, char **argv)
             if (!ovFound) {
                 std::fprintf(stderr,
                              "FAIL: --max-sampler-overhead given but no "
-                             "shape has both Superblock and "
-                             "SuperblockProf variants in %s\n",
+                             "shape has both Plain and Prof variants "
+                             "in %s\n",
                              gbenchPath.c_str());
                 fail = 1;
             } else {

@@ -36,8 +36,8 @@ usage(const char *argv0)
         "  --rtol X   relative tolerance for derived float metrics\n"
         "  --ignore-section NAME\n"
         "             skip object key NAME wherever it appears (both\n"
-        "             sides; repeatable). The memo-off golden pass uses\n"
-        "             --ignore-section sim_memo since those host-side\n"
+        "             sides; repeatable). The profiled golden pass uses\n"
+        "             --ignore-section profiler since those host-side\n"
         "             counters legitimately differ between gate runs.\n"
         "  --update   on drift, overwrite the golden with the fresh\n"
         "             report (use when a change is *intended* to move\n"
