@@ -8,7 +8,7 @@
 # still completes with its expected program output — and the armed
 # site must actually report a firing (a sweep that "passes" because
 # the fault never triggered would test nothing; see --inject spec
-# validation in bench_common.h for the same reasoning at parse time).
+# validation in bench/repro.cc for the same reasoning at parse time).
 #
 # Usage: ci/chaos_sweep.sh [build-dir] [--jobs N]
 set -euo pipefail
@@ -32,7 +32,7 @@ fail=0
 
 for site in $sites; do
     echo "== chaos: --inject $site:1"
-    "$build/bench/table1_pypy_suite" --jobs "$jobs" \
+    "$build/bench/xlvm-repro" --sweep table1 --jobs "$jobs" \
         --workloads richards,chaos,float \
         --inject "$site:1" \
         --report "json:$out/chaos_$site.json" > /dev/null

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <string>
 #include <thread>
 
 #include "rt/aot_registry.h"
@@ -59,29 +58,6 @@ defaultJobs()
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-unsigned
-jobsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string val;
-        if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 < argc)
-                val = argv[i + 1];
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            val = arg.substr(7);
-        } else {
-            continue;
-        }
-        char *end = nullptr;
-        long v = std::strtol(val.c_str(), &end, 10);
-        if (!val.empty() && end != val.c_str() && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
-        return defaultJobs();
-    }
-    return defaultJobs();
 }
 
 std::vector<RunResult>

@@ -23,12 +23,6 @@ namespace driver {
 unsigned defaultJobs();
 
 /**
- * Parse a --jobs N / --jobs=N / -j N override from argv; returns
- * defaultJobs() when absent or malformed.
- */
-unsigned jobsFromArgs(int argc, char **argv);
-
-/**
  * Run every configuration in `runs` and return results in the same
  * order. Racket-family VM kinds are dispatched to runRktWorkload, the
  * rest to runWorkload. A run that throws is reported as a RunResult

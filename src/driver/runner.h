@@ -99,6 +99,10 @@ struct RunOptions
     uint32_t blacklistCooldown = 4000;
     uint32_t compileBudgetOps = 0; ///< 0 = unlimited
     uint32_t maxTraces = 0;        ///< 0 = unlimited
+
+    /** Memberwise, so a field added later takes part by itself; two
+     *  equal options simulate the same run. */
+    bool operator==(const RunOptions &) const = default;
 };
 
 /**

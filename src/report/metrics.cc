@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "rt/aot_registry.h"
@@ -10,54 +9,6 @@
 
 namespace xlvm {
 namespace report {
-
-bool
-targetsFromArgs(int argc, char **argv, const std::string &default_stem,
-                std::vector<ReportTarget> *out, std::string *err)
-{
-    auto parseSpec = [&](const std::string &spec) -> bool {
-        ReportTarget t;
-        std::string fmt = spec;
-        size_t colon = spec.find(':');
-        if (colon != std::string::npos) {
-            fmt = spec.substr(0, colon);
-            t.path = spec.substr(colon + 1);
-        }
-        if (fmt == "json") {
-            t.format = ReportTarget::Format::Json;
-        } else if (fmt == "csv") {
-            t.format = ReportTarget::Format::Csv;
-        } else {
-            if (err)
-                *err = "unknown report format '" + fmt +
-                       "' (expected json or csv)";
-            return false;
-        }
-        if (t.path.empty())
-            t.path = default_stem +
-                     (t.format == ReportTarget::Format::Json ? ".json"
-                                                             : ".csv");
-        out->push_back(std::move(t));
-        return true;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--report") == 0) {
-            if (i + 1 >= argc) {
-                if (err)
-                    *err = "--report requires an argument";
-                return false;
-            }
-            if (!parseSpec(argv[++i]))
-                return false;
-        } else if (std::strncmp(a, "--report=", 9) == 0) {
-            if (!parseSpec(a + 9))
-                return false;
-        }
-    }
-    return true;
-}
 
 MetricsRegistry::MetricsRegistry(std::string report_name)
     : name_(std::move(report_name))
@@ -429,17 +380,6 @@ MetricsRegistry::write(const ReportTarget &target, std::string *err) const
         if (err)
             *err = "write failed for " + target.path;
         return false;
-    }
-    return true;
-}
-
-bool
-MetricsRegistry::writeAll(const std::vector<ReportTarget> &targets,
-                          std::string *err) const
-{
-    for (const ReportTarget &t : targets) {
-        if (!write(t, err))
-            return false;
     }
     return true;
 }

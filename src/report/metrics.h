@@ -40,18 +40,9 @@ struct ReportTarget
         Csv
     };
     Format format = Format::Json;
-    /** Output file; empty means "<default_stem>.<ext>" in the cwd. */
+    /** Output file ("-" = stdout). */
     std::string path;
 };
-
-/**
- * Collect every "--report json[:path]" / "--report csv[:path]" (also
- * the --report=... spelling) from argv. Empty paths are defaulted to
- * "<default_stem>.json|csv". Returns false and sets @p err on a
- * malformed or unknown format.
- */
-bool targetsFromArgs(int argc, char **argv, const std::string &default_stem,
-                     std::vector<ReportTarget> *out, std::string *err);
 
 class MetricsRegistry
 {
@@ -105,8 +96,6 @@ class MetricsRegistry
      * sets @p err on I/O failure.
      */
     bool write(const ReportTarget &target, std::string *err) const;
-    bool writeAll(const std::vector<ReportTarget> &targets,
-                  std::string *err) const;
 
   private:
     struct Metric

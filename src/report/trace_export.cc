@@ -130,6 +130,14 @@ annotTagName(uint32_t tag)
         return "tier_up";
       case kTier1Compile:
         return "tier1_compile";
+      case kTraceBlacklisted:
+        return "trace_blacklisted";
+      case kTraceRearmed:
+        return "trace_rearmed";
+      case kTraceEvicted:
+        return "trace_evicted";
+      case kCompileDowngrade:
+        return "compile_downgrade";
       default:
         return nullptr;
     }

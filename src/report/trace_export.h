@@ -70,8 +70,6 @@ class ChromeTraceBuilder
     /** Full trace-event document (stable member order). */
     Json toJson() const;
 
-    size_t runCount() const { return size_t(nextPid_); }
-
     /** Events lost to ring wraparound, summed over all runs. */
     uint64_t droppedEvents() const { return dropped_; }
 

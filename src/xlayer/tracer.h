@@ -73,11 +73,11 @@ traceTagBit(uint32_t tag)
 
 /**
  * Default recording mask: every framework-level event (phases, JIT
- * lifecycle, trace entry/exit, deopt, GC, app events). The per-dispatch
- * and per-IR-node firehoses (kDispatch, kIrNode) and the per-call AOT
- * pair (kAotEnter/kAotExit) are excluded — they are well covered by the
- * aggregate profilers and would flush the ring within milliseconds (opt
- * in with --trace-tags).
+ * lifecycle, trace entry/exit, deopt, GC, fault containment, app
+ * events). The per-dispatch and per-IR-node firehoses (kDispatch,
+ * kIrNode) and the per-call AOT pair (kAotEnter/kAotExit) are excluded
+ * — they are well covered by the aggregate profilers and would flush
+ * the ring within milliseconds (opt in with --trace-tags).
  */
 constexpr uint32_t kDefaultTraceTagMask =
     traceTagBit(kPhaseEnter) | traceTagBit(kPhaseExit) |
@@ -86,7 +86,9 @@ constexpr uint32_t kDefaultTraceTagMask =
     traceTagBit(kTraceLeave) | traceTagBit(kDeopt) |
     traceTagBit(kGcMinor) | traceTagBit(kGcMajor) |
     traceTagBit(kAppEvent) | traceTagBit(kTierUp) |
-    traceTagBit(kTier1Compile);
+    traceTagBit(kTier1Compile) | traceTagBit(kTraceBlacklisted) |
+    traceTagBit(kTraceRearmed) | traceTagBit(kTraceEvicted) |
+    traceTagBit(kCompileDowngrade);
 
 /** Tags that additionally snapshot the cross-layer counter gauges. */
 constexpr uint32_t kCounterSampleTagMask =

@@ -149,18 +149,5 @@ TEST(Parallel, DefaultJobsHonorsEnv)
     EXPECT_GE(driver::defaultJobs(), 1u);
 }
 
-TEST(Parallel, JobsFromArgs)
-{
-    ::unsetenv("XLVM_JOBS");
-    const char *a1[] = {"prog", "--jobs", "5"};
-    EXPECT_EQ(driver::jobsFromArgs(3, const_cast<char **>(a1)), 5u);
-    const char *a2[] = {"prog", "--jobs=7"};
-    EXPECT_EQ(driver::jobsFromArgs(2, const_cast<char **>(a2)), 7u);
-    const char *a3[] = {"prog", "-j", "2"};
-    EXPECT_EQ(driver::jobsFromArgs(3, const_cast<char **>(a3)), 2u);
-    const char *a4[] = {"prog"};
-    EXPECT_GE(driver::jobsFromArgs(1, const_cast<char **>(a4)), 1u);
-}
-
 } // namespace
 } // namespace xlvm

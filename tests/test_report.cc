@@ -118,34 +118,6 @@ TEST(Json, ParseErrorsAreReported)
     EXPECT_FALSE(err.empty());
 }
 
-// ---- --report argument parsing ------------------------------------------
-
-TEST(ReportArgs, ParsesFormatsAndPaths)
-{
-    const char *argv[] = {"bench", "--report", "json:/tmp/x.json",
-                          "--report=csv", "--jobs", "4"};
-    std::vector<ReportTarget> targets;
-    std::string err;
-    ASSERT_TRUE(targetsFromArgs(6, const_cast<char **>(argv), "stem",
-                                &targets, &err))
-        << err;
-    ASSERT_EQ(targets.size(), 2u);
-    EXPECT_EQ(targets[0].format, ReportTarget::Format::Json);
-    EXPECT_EQ(targets[0].path, "/tmp/x.json");
-    EXPECT_EQ(targets[1].format, ReportTarget::Format::Csv);
-    EXPECT_EQ(targets[1].path, "stem.csv");
-}
-
-TEST(ReportArgs, RejectsUnknownFormat)
-{
-    const char *argv[] = {"bench", "--report", "xml:/tmp/x"};
-    std::vector<ReportTarget> targets;
-    std::string err;
-    EXPECT_FALSE(targetsFromArgs(3, const_cast<char **>(argv), "stem",
-                                 &targets, &err));
-    EXPECT_NE(err.find("xml"), std::string::npos);
-}
-
 // ---- MetricsRegistry schema ---------------------------------------------
 
 namespace {

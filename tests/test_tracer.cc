@@ -181,6 +181,27 @@ TEST(TagNames, RoundTrip)
     EXPECT_EQ(report::annotTagFromString("gc_minor"),
               int32_t(kGcMinor));
     EXPECT_EQ(report::annotTagFromString("nonsense"), -1);
+
+    // Every live AnnotTag has a name that parses back to it, so
+    // --trace-tags can select it; retired numbers stay nameless.
+    const AnnotTag live[] = {
+        kPhaseEnter,   kPhaseExit,        kDispatch,     kLoopCompiled,
+        kBridgeCompiled, kTraceAborted,   kTraceEnter,   kTraceLeave,
+        kDeopt,        kGcMinor,          kGcMajor,      kAotEnter,
+        kAotExit,      kIrNode,           kAppEvent,     kTierUp,
+        kTier1Compile, kTraceBlacklisted, kTraceRearmed, kTraceEvicted,
+        kCompileDowngrade};
+    for (AnnotTag tag : live) {
+        const char *name = report::annotTagName(tag);
+        ASSERT_NE(name, nullptr) << "tag " << tag;
+        EXPECT_EQ(report::annotTagFromString(name), int32_t(tag)) << name;
+    }
+    for (uint32_t retired : {16u, 17u, 18u, 21u, 22u})
+        EXPECT_EQ(report::annotTagName(retired), nullptr) << retired;
+    // Fault containment is framework-level: recorded by default.
+    for (AnnotTag tag : {kTraceBlacklisted, kTraceRearmed, kTraceEvicted,
+                         kCompileDowngrade})
+        EXPECT_NE(kDefaultTraceTagMask & traceTagBit(tag), 0u) << tag;
 }
 
 // ---- Chrome export ----------------------------------------------------
