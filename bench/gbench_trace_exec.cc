@@ -5,11 +5,8 @@
  * canonical loops the vm-layer unit tests use). This is the benchmark
  * the threaded-code/micro-op engine's speedup target is measured on.
  *
- * The fusion on/off variants toggle superinstruction fusion through the
- * XLVM_NO_FUSE environment escape hatch (checked at Backend::compile
- * time), so the source also builds against engines that predate the
- * in-config toggle — which is exactly what the before/after comparison
- * needs.
+ * The fusion on/off variants toggle superinstruction fusion through
+ * JitParams::fuseMicroOps.
  *
  * The BM_SimStep_* group isolates the simulation layer: the same hot
  * trace body is stepped through a bare sim::Core with no executor
@@ -23,7 +20,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "jit/opt.h"
@@ -133,19 +129,6 @@ buildBranchyLoop(vm::VmContext &ctx, void *code, int64_t limit)
 
 constexpr int64_t kIters = 4096; ///< loop iterations per executor entry
 
-/** RAII toggle for the XLVM_NO_FUSE escape hatch. */
-struct ScopedNoFuse
-{
-    explicit ScopedNoFuse(bool disable)
-    {
-        if (disable)
-            setenv("XLVM_NO_FUSE", "1", 1);
-        else
-            unsetenv("XLVM_NO_FUSE");
-    }
-    ~ScopedNoFuse() { unsetenv("XLVM_NO_FUSE"); }
-};
-
 /** Modeled cycles per simulated instruction — deterministic for a given
  *  workload, so the bench guard pins it across variants. */
 double
@@ -163,8 +146,9 @@ runTraceExecBench(benchmark::State &state,
                   jit::Trace *(*build)(vm::VmContext &, void *, int64_t),
                   bool noFuse)
 {
-    ScopedNoFuse guard(noFuse);
-    vm::VmContext ctx;
+    vm::VmConfig cfg;
+    cfg.jit.fuseMicroOps = !noFuse;
+    vm::VmContext ctx(cfg);
     int code;
     jit::Trace *t = build(ctx, &code, kIters);
     for (auto _ : state) {

@@ -129,6 +129,17 @@ parseTierMode(const std::string &name)
     return m;
 }
 
+/** A malformed spec is a hard error: a silently ignored chaos trigger
+ *  would make a CI sweep pass without testing anything. */
+std::string
+parseInject(const std::string &spec)
+{
+    std::string err;
+    if (!rt::FaultEngine().configure(spec, &err))
+        usageError(err);
+    return spec;
+}
+
 /** OR tags from a name list into @p mask ("all" enables everything).
  *  Unknown names warn and are ignored. */
 void
@@ -177,6 +188,7 @@ parseReproArgs(int argc, char **argv, const std::vector<Sweep> &sweeps)
     ReproArgs a;
     std::vector<std::string> sweepNames;
     bool tierModeSet = false;
+    bool injectSet = false;
     for (int i = 1; i < argc; ++i) {
         std::string v;
         if (pathFlag(argv[i], "--trace", &a.tracePaths) ||
@@ -206,12 +218,8 @@ parseReproArgs(int argc, char **argv, const std::vector<Sweep> &sweeps)
                                         UINT64_MAX))
                 a.profileInterval = n;
         } else if (flagValue(argc, argv, i, "--inject", &v)) {
-            // A malformed spec is a hard error: a silently ignored chaos
-            // trigger would make a CI sweep pass without testing anything.
-            std::string err;
-            if (!rt::FaultEngine().configure(v, &err))
-                usageError(err);
-            a.inject = v;
+            a.inject = parseInject(v);
+            injectSet = true;
         } else if (flagValue(argc, argv, i, "--storm-threshold", &v)) {
             a.policy.emplace_back(&driver::RunOptions::stormThreshold,
                                   parseCount("--storm-threshold", v, ~0u));
@@ -244,9 +252,14 @@ parseReproArgs(int argc, char **argv, const std::vector<Sweep> &sweeps)
                        "one sweep with --sweep or drop the path");
     }
 
+    // The environment fills in only what no flag set, and is checked
+    // like the flag it stands for.
     const char *tierEnv = std::getenv("XLVM_TIER_MODE");
     if (!tierModeSet && tierEnv && *tierEnv)
         a.tierMode = parseTierMode(tierEnv);
+    const char *injectEnv = std::getenv("XLVM_INJECT");
+    if (!injectSet && injectEnv && *injectEnv)
+        a.inject = parseInject(injectEnv);
     pathFromEnv("XLVM_TRACE", &a.tracePaths);
     pathFromEnv("XLVM_PROFILE", &a.profilePaths);
     return a;
@@ -262,8 +275,7 @@ Repro::Repro(ReproArgs args) : args_(std::move(args))
         p = p.empty() ? stem() + "-profile.json" : p;
 }
 
-/** The flags every recorded run honors. XLVM_INJECT is resolved by the
- *  runner, so it still overrides a spec set here. */
+/** The flags every recorded run honors. */
 driver::RunOptions
 Repro::applyFlags(driver::RunOptions o) const
 {

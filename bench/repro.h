@@ -67,13 +67,13 @@ struct ReproArgs
     unsigned jobs = 0;                  ///< 0 = driver::defaultJobs()
     /** --report targets; an empty path means "<sweep>.<ext>". */
     std::vector<report::ReportTarget> reports;
-    vm::TierMode tierMode = vm::TierMode::Tier2;
+    vm::TierMode tierMode = vm::TierMode::Tier2; ///< or XLVM_TIER_MODE
     std::vector<std::string> tracePaths;
     uint64_t traceBufferEvents = 1u << 20;
     uint32_t traceTagMask = xlayer::kDefaultTraceTagMask;
     std::vector<std::string> profilePaths;
     uint64_t profileInterval = xlayer::kDefaultSampleIntervalCycles;
-    std::string inject;
+    std::string inject; ///< --inject, else XLVM_INJECT
     /** Fault-containment knobs (--storm-threshold, ...): field, value. */
     std::vector<std::pair<uint32_t driver::RunOptions::*, uint32_t>> policy;
 };

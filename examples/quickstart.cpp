@@ -52,13 +52,13 @@ print(total)
 
     std::printf("\nJIT activity: %llu loops, %llu bridges, %llu deopts, "
                 "%llu trace executions\n",
-                (unsigned long long)ctx.events.loopsCompiled,
-                (unsigned long long)ctx.events.bridgesCompiled,
-                (unsigned long long)ctx.events.deopts,
-                (unsigned long long)ctx.events.traceEnters);
+                (unsigned long long)ctx.bus.count(xlayer::kLoopCompiled),
+                (unsigned long long)ctx.bus.count(xlayer::kBridgeCompiled),
+                (unsigned long long)ctx.bus.count(xlayer::kDeopt),
+                (unsigned long long)ctx.bus.count(xlayer::kTraceEnter));
 
     std::printf("\nphase breakdown:\n");
-    auto shares = ctx.phases.phaseCycleShares();
+    auto shares = ctx.bus.phases.phaseCycleShares();
     for (uint32_t p = 0; p < xlayer::kNumPhases; ++p) {
         if (shares[p] > 0.001) {
             std::printf("  %-10s %5.1f%%\n",

@@ -47,7 +47,7 @@ main()
     std::printf("scheme output: %s", interp.output().c_str());
     std::printf("traces compiled: %zu, trace executions: %llu\n",
                 ctx.registry.size(),
-                (unsigned long long)ctx.events.traceEnters);
+                (unsigned long long)ctx.bus.count(xlayer::kTraceEnter));
     std::printf("simulated time: %.6f s\n", ctx.core.seconds());
     return 0;
 }

@@ -1,7 +1,5 @@
 #include "driver/runner.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -33,44 +31,6 @@ vmKindName(VmKind k)
 }
 
 namespace {
-
-/** XLVM_TIER_MODE env hatch: overrides RunOptions::tierMode when set
- *  (same precedence as the other escape hatches; unknown values warn
- *  once and are ignored so a typo cannot silently change the mode). */
-vm::TierMode
-tierModeWithEnv(vm::TierMode from_opts)
-{
-    const char *e = std::getenv("XLVM_TIER_MODE");
-    if (!e || !*e)
-        return from_opts;
-    vm::TierMode m;
-    if (vm::tierModeFromString(e, &m))
-        return m;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "xlvm: XLVM_TIER_MODE='%s' unknown (want "
-                     "off|tier1|tier2|multi), ignored\n",
-                     e);
-    }
-    return from_opts;
-}
-
-/** XLVM_INJECT env hatch: overrides RunOptions::inject when set (the
- *  same precedence as the other hatches; "none"/"off" disarm, useful
- *  to neutralize a spec baked into a sweep script). */
-std::string
-injectWithEnv(const std::string &from_opts)
-{
-    const char *e = std::getenv("XLVM_INJECT");
-    if (!e)
-        return from_opts;
-    std::string s(e);
-    if (s == "none" || s == "off")
-        return std::string();
-    return s;
-}
 
 vm::VmConfig
 configFor(const RunOptions &opts)
@@ -105,7 +65,7 @@ configFor(const RunOptions &opts)
     cfg.jit.optHeapCache = opts.optHeapCache;
     cfg.jit.optElideGuards = opts.optElideGuards;
     cfg.jit.optFoldConstants = opts.optFoldConstants;
-    cfg.jit.tierMode = tierModeWithEnv(opts.tierMode);
+    cfg.jit.tierMode = opts.tierMode;
     cfg.jit.tier1Threshold = opts.tier1Threshold;
     cfg.jit.tier2Threshold = opts.tier2Threshold;
     if (cfg.jit.tierMode == vm::TierMode::Off)
@@ -114,7 +74,7 @@ configFor(const RunOptions &opts)
     cfg.jit.blacklistCooldown = opts.blacklistCooldown;
     cfg.jit.compileBudgetOps = opts.compileBudgetOps;
     cfg.jit.maxTraces = opts.maxTraces;
-    cfg.inject = injectWithEnv(opts.inject);
+    cfg.inject = opts.inject;
     {
         // Validate here so a malformed spec is a clean per-run error
         // (RunResult::error via the invalid_argument path) instead of
@@ -137,7 +97,8 @@ configFor(const RunOptions &opts)
 void
 collect(vm::VmContext &ctx, RunResult &out)
 {
-    ctx.work.finalize();
+    xlayer::AnnotationBus &bus = ctx.bus;
+    bus.work.finalize();
 
     sim::PerfCounters total = ctx.core.totalCounters();
     out.cycles = total.cycles();
@@ -148,26 +109,26 @@ collect(vm::VmContext &ctx, RunResult &out)
     out.branchRate = total.branchRate();
     out.branchMissRate = total.branchMissRate();
 
-    out.phaseShares = ctx.phases.phaseCycleShares();
+    out.phaseShares = bus.phases.phaseCycleShares();
     for (uint32_t p = 0; p < xlayer::kNumPhases; ++p) {
         out.phaseCounters[p] =
-            ctx.phases.phaseCounters(xlayer::Phase(p));
+            bus.phases.phaseCounters(xlayer::Phase(p));
     }
-    out.timeline = ctx.phases.timeline();
+    out.timeline = bus.phases.timeline();
 
-    out.work = ctx.work.totalWork();
-    out.warmupCurve = ctx.work.samples();
+    out.work = bus.work.totalWork();
+    out.warmupCurve = bus.work.samples();
 
-    out.trace = ctx.tracer.take();
-    out.phaseUnderflows = ctx.phases.phaseUnderflows();
+    out.trace = bus.tracer.take();
+    out.phaseUnderflows = bus.phases.phaseUnderflows();
 
-    out.loopsCompiled = ctx.events.loopsCompiled;
-    out.bridgesCompiled = ctx.events.bridgesCompiled;
-    out.tracesAborted = ctx.events.tracesAborted;
-    out.traceEnters = ctx.events.traceEnters;
-    out.deopts = ctx.events.deopts;
-    out.gcMinor = ctx.events.gcMinor;
-    out.gcMajor = ctx.events.gcMajor;
+    out.loopsCompiled = bus.count(xlayer::kLoopCompiled);
+    out.bridgesCompiled = bus.count(xlayer::kBridgeCompiled);
+    out.tracesAborted = bus.count(xlayer::kTraceAborted);
+    out.traceEnters = bus.count(xlayer::kTraceEnter);
+    out.deopts = bus.count(xlayer::kDeopt);
+    out.gcMinor = bus.count(xlayer::kGcMinor);
+    out.gcMajor = bus.count(xlayer::kGcMajor);
 
     out.icacheHits = ctx.core.icacheUnit().hits();
     out.icacheMisses = ctx.core.icacheUnit().misses();
@@ -188,7 +149,7 @@ collect(vm::VmContext &ctx, RunResult &out)
     out.tier1Compiles = ts.tier1Compiles;
     out.tier2Compiles = ts.tier2Compiles;
     out.tierPromotions = ts.promotions;
-    out.tierUps = ctx.events.tierUps;
+    out.tierUps = bus.count(xlayer::kTierUp);
     out.tier1CodeBytes = ts.tier1CodeBytes;
     out.tier2CodeBytes = ts.tier2CodeBytes;
     out.tier1RetiredBytes = ts.tier1RetiredBytes;
@@ -199,10 +160,10 @@ collect(vm::VmContext &ctx, RunResult &out)
 
     out.irNodesCompiled = ctx.backend.totalIrNodesCompiled();
     out.irNodeMeta = ctx.backend.nodeMeta();
-    out.irExecCounts = ctx.irProfiler.execCounts();
+    out.irExecCounts = bus.ir.execCounts();
     out.irExecCounts.resize(out.irNodeMeta.size(), 0);
 
-    out.aotFunctions = ctx.aotProfiler.significantFunctions(0.0);
+    out.aotFunctions = bus.aot.significantFunctions(0.0);
 
     out.iterationLatency = ctx.executor.iterationLatency();
     out.executionLength = ctx.executor.executionLength();
@@ -211,11 +172,11 @@ collect(vm::VmContext &ctx, RunResult &out)
         out.profile = ctx.sampler.take();
 
     for (uint32_t r = 0; r < jit::kNumAbortReasons; ++r)
-        out.abortReasons[r] = ctx.events.abortReasons[r];
-    out.tracesBlacklisted = ctx.events.tracesBlacklisted;
-    out.tracesRearmed = ctx.events.tracesRearmed;
-    out.tracesEvicted = ctx.events.tracesEvicted;
-    out.compileDowngrades = ctx.events.compileDowngrades;
+        out.abortReasons[r] = bus.abortReasons[r];
+    out.tracesBlacklisted = bus.count(xlayer::kTraceBlacklisted);
+    out.tracesRearmed = bus.count(xlayer::kTraceRearmed);
+    out.tracesEvicted = bus.count(xlayer::kTraceEvicted);
+    out.compileDowngrades = bus.count(xlayer::kCompileDowngrade);
     out.liveTraces = ctx.registry.liveCount();
     out.faultsArmed = ctx.faults.armed();
     for (uint32_t s = 0; s < rt::kNumFaultSites; ++s) {

@@ -63,8 +63,7 @@ struct RunOptions
     /**
      * Compilation-tier policy (vm::TierMode). Tier2 is the pre-tiering
      * default; Tier1/Multi compile raw traces at tier1Threshold without
-     * the optimizer, Multi promotes at tier2Threshold executions. The
-     * XLVM_TIER_MODE env hatch overrides (off|tier1|tier2|multi).
+     * the optimizer, Multi promotes at tier2Threshold executions.
      */
     vm::TierMode tierMode = vm::TierMode::Tier2;
     uint32_t tier1Threshold = 130;
@@ -89,9 +88,9 @@ struct RunOptions
     uint64_t profileIntervalCycles = 0;
     /**
      * Fault-injection spec (rt::FaultEngine grammar: "site:nth" entries,
-     * comma-separated); empty = disarmed, zero-cost. The XLVM_INJECT
-     * env hatch overrides. Trigger counters are visit-based, so an
-     * injected failure is deterministic and --jobs-invariant.
+     * comma-separated); empty = disarmed, zero-cost. Trigger counters
+     * are visit-based, so an injected failure is deterministic and
+     * --jobs-invariant.
      */
     std::string inject;
     /** Fault-containment policies (vm::JitParams analogs). */

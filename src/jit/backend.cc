@@ -1,17 +1,7 @@
 #include "jit/backend.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace xlvm {
 namespace jit {
-
-bool
-fusionDisabledByEnv()
-{
-    const char *e = std::getenv("XLVM_NO_FUSE");
-    return e && *e && std::strcmp(e, "0") != 0;
-}
 
 uint32_t
 loweredInstCount(IrOp op)
@@ -213,7 +203,7 @@ Backend::compileAtTier(Trace &trace, uint8_t tier)
         programs.resize(trace.id + 1);
     }
     programs[trace.id] =
-        lowerTrace(trace, offs, ids, fuseMicroOps && !fusionDisabledByEnv());
+        lowerTrace(trace, offs, ids, fuseMicroOps);
     offsets[trace.id] = std::move(offs);
     nodeIds[trace.id] = std::move(ids);
 }

@@ -30,10 +30,6 @@ namespace jit {
 /** Synthetic instructions in the lowering of one IR op. */
 uint32_t loweredInstCount(IrOp op);
 
-/** True when the XLVM_NO_FUSE escape hatch disables superinstruction
- *  fusion for the whole process (differential testing / debugging). */
-bool fusionDisabledByEnv();
-
 /** Metadata for one compiled (countable) IR node. */
 struct IrNodeMeta
 {

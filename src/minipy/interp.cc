@@ -6,11 +6,11 @@
 #include "jit/opt.h"
 #include "xlayer/annot.h"
 
-// The event profiler bins kTraceAborted payloads without seeing the
-// jit layer; its fixed array must fit every reason.
+// The bus bins kTraceAborted payloads without seeing the jit layer;
+// its fixed array must fit every reason.
 static_assert(xlvm::jit::kNumAbortReasons <=
-                  xlvm::xlayer::EventProfiler::kNumAbortReasons,
-              "EventProfiler abort-reason array too small");
+                  xlvm::xlayer::AnnotationBus::kNumAbortReasons,
+              "AnnotationBus abort-reason array too small");
 
 namespace xlvm {
 namespace minipy {

@@ -23,6 +23,9 @@ constexpr int kTidEvents = 2;
 /** Timeline entries kept by summarize before truncation. */
 constexpr size_t kTimelineCap = 200;
 
+/** Tags summarize lists on its compile/deopt timeline. */
+constexpr uint32_t kTimelineMask = xlayer::annotTagMask(xlayer::kTagTimeline);
+
 double
 tsMicros(uint64_t cycles_fp, double freq_ghz)
 {
@@ -91,62 +94,10 @@ isSynthetic(const Json &ev)
 
 } // namespace
 
-const char *
-annotTagName(uint32_t tag)
-{
-    using namespace xlayer;
-    switch (tag) {
-      case kPhaseEnter:
-        return "phase_enter";
-      case kPhaseExit:
-        return "phase_exit";
-      case kDispatch:
-        return "dispatch";
-      case kLoopCompiled:
-        return "loop_compiled";
-      case kBridgeCompiled:
-        return "bridge_compiled";
-      case kTraceAborted:
-        return "trace_aborted";
-      case kTraceEnter:
-        return "trace_enter";
-      case kTraceLeave:
-        return "trace_leave";
-      case kDeopt:
-        return "deopt";
-      case kGcMinor:
-        return "gc_minor";
-      case kGcMajor:
-        return "gc_major";
-      case kAotEnter:
-        return "aot_enter";
-      case kAotExit:
-        return "aot_exit";
-      case kIrNode:
-        return "ir_node";
-      case kAppEvent:
-        return "app_event";
-      case kTierUp:
-        return "tier_up";
-      case kTier1Compile:
-        return "tier1_compile";
-      case kTraceBlacklisted:
-        return "trace_blacklisted";
-      case kTraceRearmed:
-        return "trace_rearmed";
-      case kTraceEvicted:
-        return "trace_evicted";
-      case kCompileDowngrade:
-        return "compile_downgrade";
-      default:
-        return nullptr;
-    }
-}
-
 std::string
 annotTagLabel(uint32_t tag)
 {
-    const char *name = annotTagName(tag);
+    const char *name = xlayer::annotTagName(tag);
     if (name)
         return name;
     // Tags minted after this build of the tool: keep them visible and
@@ -159,9 +110,12 @@ annotTagFromString(const std::string &s)
 {
     if (s.empty())
         return -1;
-    if (s.find_first_not_of("0123456789") == std::string::npos)
-        return int32_t(std::strtoul(s.c_str(), nullptr, 10));
-    for (uint32_t tag = 1; tag < 32; ++tag) {
+    if (s.find_first_not_of("0123456789") == std::string::npos) {
+        // Retired numbers stay selectable; past the mask is unknown.
+        unsigned long tag = std::strtoul(s.c_str(), nullptr, 10);
+        return tag < xlayer::kNumAnnotTagSlots ? int32_t(tag) : -1;
+    }
+    for (uint32_t tag = 1; tag < xlayer::kNumAnnotTagSlots; ++tag) {
         if (s == annotTagLabel(tag))
             return int32_t(tag);
     }
@@ -531,9 +485,7 @@ summarizeChromeTrace(const Json &doc, size_t top_n)
                 ++instantCounts[annotTagLabel(tag)];
             if (tag == kDeopt)
                 ++guardFailures[payload];
-            if (tag == kLoopCompiled || tag == kBridgeCompiled ||
-                tag == kTraceAborted || tag == kDeopt ||
-                tag == kTierUp || tag == kTier1Compile) {
+            if (annotTagIn(kTimelineMask, tag)) {
                 if (timeline.size() < kTimelineCap) {
                     Json entry = Json::object();
                     const Json *ts = ev.get("ts");

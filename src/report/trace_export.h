@@ -37,15 +37,13 @@
 namespace xlvm {
 namespace report {
 
-/** Short stable name for an annotation tag ("deopt", "gc_minor", ...),
- *  or nullptr for a tag this build has no name for. */
-const char *annotTagName(uint32_t tag);
-
-/** annotTagName, with unknown tags rendered as "tag<N>" so records from
- *  newer engines stay visible in summaries instead of being collapsed. */
+/** xlayer::annotTagName, with unknown tags rendered as "tag<N>" so
+ *  records from newer engines stay visible in summaries instead of being
+ *  collapsed. */
 std::string annotTagLabel(uint32_t tag);
 
-/** Parse a tag from a name or decimal number; -1 if unrecognized. */
+/** Parse a tag from a name or a decimal number below
+ *  xlayer::kNumAnnotTagSlots; -1 if unrecognized. */
 int32_t annotTagFromString(const std::string &s);
 
 class ChromeTraceBuilder

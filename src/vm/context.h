@@ -3,7 +3,7 @@
  * VmContext: one fully wired virtual machine instance.
  *
  * Assembles the simulated core, the cross-layer annotation bus with its
- * profilers, the GC heap with phase hooks, the object space, and (for the
+ * instruments, the GC heap with phase hooks, the object space, and (for the
  * RPython flavor) the meta-tracing machinery: backend, trace registry,
  * executor. Language front ends (minipy, minirkt) run on top of this.
  */
@@ -19,14 +19,8 @@
 #include "vm/executor.h"
 #include "vm/gchooks.h"
 #include "vm/registry.h"
-#include "xlayer/aot_profiler.h"
 #include "xlayer/bus.h"
-#include "xlayer/event_profiler.h"
-#include "xlayer/irnode_profiler.h"
-#include "xlayer/phase_profiler.h"
 #include "xlayer/sampler.h"
-#include "xlayer/tracer.h"
-#include "xlayer/work_profiler.h"
 
 namespace xlvm {
 namespace vm {
@@ -62,13 +56,7 @@ class VmContext
     explicit VmContext(const VmConfig &cfg = VmConfig())
         : config(cfg),
           core(cfg.core),
-          bus(core),
-          phases(bus, cfg.phaseTimelineBin),
-          work(bus, cfg.workSampleInstrs),
-          aotProfiler(bus),
-          irProfiler(bus),
-          events(bus),
-          tracer(bus, cfg.tracer),
+          bus(core, cfg.phaseTimelineBin, cfg.workSampleInstrs, cfg.tracer),
           heap(cfg.heap),
           env(core, codeSpace, heap, cfg.flavor, cfg.costs),
           gcHooks(env),
@@ -82,8 +70,8 @@ class VmContext
         std::string injectErr;
         if (!faults.configure(cfg.inject, &injectErr))
             XLVM_FATAL("bad fault-injection spec: ", injectErr);
-        if (tracer.enabled()) {
-            tracer.setCounterSampler([this] {
+        if (bus.tracer.enabled()) {
+            bus.tracer.setCounterSampler([this] {
                 xlayer::TraceCounterSample s{};
                 s.heapBytes = heap.youngByteCount() + heap.oldByteCount();
                 s.traceCacheBytes = codeSpace.jitCodeBytes();
@@ -106,12 +94,6 @@ class VmContext
     sim::Core core;
     sim::CodeSpace codeSpace;
     xlayer::AnnotationBus bus;
-    xlayer::PhaseProfiler phases;
-    xlayer::WorkRateProfiler work;
-    xlayer::AotCallProfiler aotProfiler;
-    xlayer::IrNodeProfiler irProfiler;
-    xlayer::EventProfiler events;
-    xlayer::EventTracer tracer;
     gc::Heap heap;
     obj::ExecEnv env;
     GcPhaseHooks gcHooks;

@@ -14,6 +14,8 @@
 #define XLVM_XLAYER_ANNOT_H
 
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 
 namespace xlvm {
 namespace xlayer {
@@ -97,6 +99,107 @@ enum AnnotTag : uint32_t
     kTraceEvicted = 25,
     kCompileDowngrade = 26,
 };
+
+/** Tags index 32-bit masks, so every live tag must stay below this. */
+constexpr uint32_t kNumAnnotTagSlots = 32;
+
+/** Tag-set membership bits of an AnnotTagInfo row. */
+enum AnnotTagFlag : uint32_t
+{
+    /** Recorded by the event tracer by default (kDefaultTraceTagMask). */
+    kTagTraced = 1u << 0,
+    /** Snapshots the heap/code-cache gauges when traced. */
+    kTagSampled = 1u << 1,
+    /** Listed on the compile/deopt timeline of `xlvm-trace summarize`. */
+    kTagTimeline = 1u << 2,
+};
+
+struct AnnotTagInfo
+{
+    AnnotTag tag;
+    const char *name; ///< stable name used by trace files and tools
+    uint32_t flags;   ///< AnnotTagFlag bits
+};
+
+/**
+ * Every live tag. The per-dispatch and per-IR-node firehoses (kDispatch,
+ * kIrNode) and the per-call AOT pair are not traced by default: the
+ * aggregate instruments cover them and they would flush the trace ring
+ * within milliseconds (opt in with --trace-tags).
+ */
+constexpr AnnotTagInfo kAnnotTags[] = {
+    {kPhaseEnter, "phase_enter", kTagTraced},
+    {kPhaseExit, "phase_exit", kTagTraced},
+    {kDispatch, "dispatch", 0},
+    {kLoopCompiled, "loop_compiled", kTagTraced | kTagSampled | kTagTimeline},
+    {kBridgeCompiled, "bridge_compiled",
+     kTagTraced | kTagSampled | kTagTimeline},
+    {kTraceAborted, "trace_aborted", kTagTraced | kTagSampled | kTagTimeline},
+    {kTraceEnter, "trace_enter", kTagTraced},
+    {kTraceLeave, "trace_leave", kTagTraced},
+    {kDeopt, "deopt", kTagTraced | kTagSampled | kTagTimeline},
+    {kGcMinor, "gc_minor", kTagTraced | kTagSampled},
+    {kGcMajor, "gc_major", kTagTraced | kTagSampled},
+    {kAotEnter, "aot_enter", 0},
+    {kAotExit, "aot_exit", 0},
+    {kIrNode, "ir_node", 0},
+    {kAppEvent, "app_event", kTagTraced},
+    {kTierUp, "tier_up", kTagTraced | kTagSampled | kTagTimeline},
+    {kTier1Compile, "tier1_compile", kTagTraced | kTagSampled | kTagTimeline},
+    {kTraceBlacklisted, "trace_blacklisted", kTagTraced},
+    {kTraceRearmed, "trace_rearmed", kTagTraced},
+    {kTraceEvicted, "trace_evicted", kTagTraced},
+    {kCompileDowngrade, "compile_downgrade", kTagTraced},
+};
+
+constexpr bool
+annotTagsWellFormed()
+{
+    for (size_t i = 0; i < std::size(kAnnotTags); ++i) {
+        if (kAnnotTags[i].tag >= kNumAnnotTagSlots)
+            return false;
+        for (size_t j = 0; j < i; ++j) {
+            if (kAnnotTags[i].tag == kAnnotTags[j].tag ||
+                std::string_view(kAnnotTags[i].name) == kAnnotTags[j].name)
+                return false;
+        }
+    }
+    return true;
+}
+
+static_assert(annotTagsWellFormed(),
+              "annotation tags must be unique, below kNumAnnotTagSlots, "
+              "and uniquely named");
+
+/** Name of @p tag, or nullptr for a retired or unknown tag. */
+constexpr const char *
+annotTagName(uint32_t tag)
+{
+    for (const AnnotTagInfo &t : kAnnotTags) {
+        if (t.tag == tag)
+            return t.name;
+    }
+    return nullptr;
+}
+
+/** Mask (bit per tag) of the tags whose row carries @p flag. */
+constexpr uint32_t
+annotTagMask(uint32_t flag)
+{
+    uint32_t mask = 0;
+    for (const AnnotTagInfo &t : kAnnotTags) {
+        if (t.flags & flag)
+            mask |= 1u << t.tag;
+    }
+    return mask;
+}
+
+/** True if @p tag is in @p mask; tags past the mask are in no set. */
+constexpr bool
+annotTagIn(uint32_t mask, uint32_t tag)
+{
+    return tag < kNumAnnotTagSlots && ((mask >> tag) & 1u);
+}
 
 } // namespace xlayer
 } // namespace xlvm

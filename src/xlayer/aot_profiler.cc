@@ -3,48 +3,38 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "xlayer/annot.h"
 
 namespace xlvm {
 namespace xlayer {
 
-AotCallProfiler::AotCallProfiler(AnnotationBus &bus) : bus_(bus)
+void
+AotCallProfiler::enter(uint32_t fn)
 {
-    bus_.addListener(this);
-}
-
-AotCallProfiler::~AotCallProfiler()
-{
-    bus_.removeListener(this);
+    active.emplace_back(fn, core_.totalCycles());
+    ++nCalls;
 }
 
 void
-AotCallProfiler::onAnnot(uint32_t tag, uint32_t payload)
+AotCallProfiler::exit(uint32_t fn)
 {
-    if (tag == kAotEnter) {
-        active.emplace_back(payload, bus_.core().totalCycles());
-        ++nCalls;
-    } else if (tag == kAotExit) {
-        XLVM_ASSERT(!active.empty(), "AOT exit without enter");
-        XLVM_ASSERT(active.back().first == payload,
-                    "mismatched AOT exit, fn ", payload);
-        auto [fn, entry_cycles] = active.back();
-        active.pop_back();
-        // Attribute to the outermost entry point only.
-        if (active.empty()) {
-            if (fn >= perFn.size())
-                perFn.resize(fn + 1);
-            perFn[fn].fnId = fn;
-            ++perFn[fn].calls;
-            perFn[fn].cycles += bus_.core().totalCycles() - entry_cycles;
-        }
+    XLVM_ASSERT(!active.empty(), "AOT exit without enter");
+    XLVM_ASSERT(active.back().first == fn, "mismatched AOT exit, fn ", fn);
+    double entry_cycles = active.back().second;
+    active.pop_back();
+    // Attribute to the outermost entry point only.
+    if (active.empty()) {
+        if (fn >= perFn.size())
+            perFn.resize(fn + 1);
+        perFn[fn].fnId = fn;
+        ++perFn[fn].calls;
+        perFn[fn].cycles += core_.totalCycles() - entry_cycles;
     }
 }
 
 std::vector<AotFunctionStats>
 AotCallProfiler::significantFunctions(double min_share) const
 {
-    double total = bus_.core().totalCycles();
+    double total = core_.totalCycles();
     std::vector<AotFunctionStats> out;
     for (const auto &f : perFn) {
         if (f.calls == 0)

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "xlayer/bus.h"
+#include "sim/core.h"
 
 namespace xlvm {
 namespace xlayer {
@@ -31,13 +31,14 @@ struct AotFunctionStats
     double cycles = 0.0;
 };
 
-class AotCallProfiler : public AnnotListener
+class AotCallProfiler
 {
   public:
-    explicit AotCallProfiler(AnnotationBus &bus);
-    ~AotCallProfiler() override;
+    explicit AotCallProfiler(sim::Core &core) : core_(core) {}
 
-    void onAnnot(uint32_t tag, uint32_t payload) override;
+    /** kAotEnter / kAotExit, payload = AOT function id. */
+    void enter(uint32_t fn);
+    void exit(uint32_t fn);
 
     /**
      * Per-function stats sorted by descending cycles.
@@ -50,7 +51,7 @@ class AotCallProfiler : public AnnotListener
     uint64_t totalCalls() const { return nCalls; }
 
   private:
-    AnnotationBus &bus_;
+    sim::Core &core_;
     /// (fnId, entry cycles) of active calls; index 0 is outermost.
     std::vector<std::pair<uint32_t, double>> active;
     std::vector<AotFunctionStats> perFn; ///< indexed by fnId

@@ -15,18 +15,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "xlayer/bus.h"
-
 namespace xlvm {
 namespace xlayer {
 
-class IrNodeProfiler : public AnnotListener
+class IrNodeProfiler
 {
   public:
-    explicit IrNodeProfiler(AnnotationBus &bus);
-    ~IrNodeProfiler() override;
-
-    void onAnnot(uint32_t tag, uint32_t payload) override;
+    /** kIrNode: one execution of global IR node @p id. */
+    void
+    node(uint32_t id)
+    {
+        if (id >= counts.size())
+            counts.resize(id + 1024, 0);
+        ++counts[id];
+        ++total;
+    }
 
     /** Dynamic execution count per global IR node id. */
     const std::vector<uint64_t> &execCounts() const { return counts; }
@@ -34,7 +37,6 @@ class IrNodeProfiler : public AnnotListener
     uint64_t totalExecuted() const { return total; }
 
   private:
-    AnnotationBus &bus_;
     std::vector<uint64_t> counts;
     uint64_t total = 0;
 };

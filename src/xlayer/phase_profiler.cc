@@ -1,26 +1,19 @@
 #include "xlayer/phase_profiler.h"
 
 #include "common/logging.h"
-#include "xlayer/annot.h"
 
 namespace xlvm {
 namespace xlayer {
 
-PhaseProfiler::PhaseProfiler(AnnotationBus &bus, uint64_t bin_instrs)
-    : bus_(bus), binInstrs(bin_instrs)
+PhaseProfiler::PhaseProfiler(sim::Core &core, uint64_t bin_instrs)
+    : core_(core), binInstrs(bin_instrs)
 {
     stack.push_back(Phase::Interpreter);
-    bus_.core().setBucket(0);
-    bus_.addListener(this);
+    core_.setBucket(0);
     if (binInstrs) {
         nextBinEnd = binInstrs;
         binStartCycles = cyclesNow();
     }
-}
-
-PhaseProfiler::~PhaseProfiler()
-{
-    bus_.removeListener(this);
 }
 
 std::array<double, kNumPhases>
@@ -28,16 +21,14 @@ PhaseProfiler::cyclesNow() const
 {
     std::array<double, kNumPhases> c{};
     for (uint32_t p = 0; p < kNumPhases; ++p)
-        c[p] = bus_.core().bucketCounters(p).cycles();
+        c[p] = core_.bucketCounters(p).cycles();
     return c;
 }
 
 void
-PhaseProfiler::maybeCloseBin()
+PhaseProfiler::closeBins()
 {
-    if (!binInstrs)
-        return;
-    uint64_t instr = bus_.core().totalInstructions();
+    uint64_t instr = core_.totalInstructions();
     while (instr >= nextBinEnd) {
         auto now = cyclesNow();
         PhaseTimelineBin bin;
@@ -51,39 +42,34 @@ PhaseProfiler::maybeCloseBin()
 }
 
 void
-PhaseProfiler::onAnnot(uint32_t tag, uint32_t payload)
+PhaseProfiler::enter(uint32_t phase)
 {
-    switch (tag) {
-      case kPhaseEnter:
-        XLVM_ASSERT(payload < kNumPhases, "bad phase payload");
-        stack.push_back(static_cast<Phase>(payload));
-        bus_.core().setBucket(payload);
-        break;
-      case kPhaseExit:
-        if (stack.size() <= 1) {
-            // A kPhaseExit with nothing but the Interpreter sentinel on
-            // the stack is a malformed event stream (e.g. an exit
-            // emitted twice). Popping the sentinel would leave
-            // currentPhase() reading an empty stack, so reject the
-            // event: count it, warn once, and keep the sentinel.
-            ++underflows_;
-            if (underflows_ == 1) {
-                XLVM_WARN("phase exit (", phaseName(Phase(payload)),
-                          ") on bottomed-out phase stack; ignored");
-            }
-            break;
+    XLVM_ASSERT(phase < kNumPhases, "bad phase payload");
+    stack.push_back(static_cast<Phase>(phase));
+    core_.setBucket(phase);
+}
+
+void
+PhaseProfiler::exit(uint32_t phase)
+{
+    if (stack.size() <= 1) {
+        // A kPhaseExit with nothing but the Interpreter sentinel on the
+        // stack is a malformed event stream (e.g. an exit emitted
+        // twice). Popping the sentinel would leave currentPhase()
+        // reading an empty stack, so reject the event: count it, warn
+        // once, and keep the sentinel.
+        ++underflows_;
+        if (underflows_ == 1) {
+            XLVM_WARN("phase exit (", phaseName(Phase(phase)),
+                      ") on bottomed-out phase stack; ignored");
         }
-        XLVM_ASSERT(static_cast<uint32_t>(stack.back()) == payload,
-                    "mismatched phase exit: in ",
-                    phaseName(stack.back()), " exiting ",
-                    phaseName(static_cast<Phase>(payload)));
-        stack.pop_back();
-        bus_.core().setBucket(static_cast<uint32_t>(stack.back()));
-        break;
-      default:
-        break;
+        return;
     }
-    maybeCloseBin();
+    XLVM_ASSERT(static_cast<uint32_t>(stack.back()) == phase,
+                "mismatched phase exit: in ", phaseName(stack.back()),
+                " exiting ", phaseName(static_cast<Phase>(phase)));
+    stack.pop_back();
+    core_.setBucket(static_cast<uint32_t>(stack.back()));
 }
 
 Phase
@@ -98,7 +84,7 @@ PhaseProfiler::phaseCycleShares() const
     std::array<double, kNumPhases> shares{};
     double total = 0.0;
     for (uint32_t p = 0; p < kNumPhases; ++p) {
-        shares[p] = bus_.core().bucketCounters(p).cycles();
+        shares[p] = core_.bucketCounters(p).cycles();
         total += shares[p];
     }
     if (total > 0) {

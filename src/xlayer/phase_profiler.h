@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "xlayer/bus.h"
+#include "sim/core.h"
 #include "xlayer/phase.h"
 
 namespace xlvm {
@@ -28,18 +28,28 @@ struct PhaseTimelineBin
     std::array<double, kNumPhases> cycles{};
 };
 
-class PhaseProfiler : public AnnotListener
+class PhaseProfiler
 {
   public:
     /**
-     * @param bus          annotation bus to subscribe to
+     * @param core         core whose counter bucket follows the phase
      * @param bin_instrs   timeline bin width in retired instructions
      *                     (0 disables timeline recording)
      */
-    explicit PhaseProfiler(AnnotationBus &bus, uint64_t bin_instrs = 0);
-    ~PhaseProfiler() override;
+    explicit PhaseProfiler(sim::Core &core, uint64_t bin_instrs = 0);
 
-    void onAnnot(uint32_t tag, uint32_t payload) override;
+    /** kPhaseEnter / kPhaseExit: push or pop the phase stack and
+     *  switch the core's counter bucket. */
+    void enter(uint32_t phase);
+    void exit(uint32_t phase);
+
+    /** Close every timeline bin the core has run past. */
+    void
+    maybeCloseBin()
+    {
+        if (binInstrs && core_.totalInstructions() >= nextBinEnd)
+            closeBins();
+    }
 
     Phase currentPhase() const;
 
@@ -47,7 +57,7 @@ class PhaseProfiler : public AnnotListener
     const sim::PerfCounters &
     phaseCounters(Phase p) const
     {
-        return bus_.core().bucketCounters(static_cast<uint32_t>(p));
+        return core_.bucketCounters(static_cast<uint32_t>(p));
     }
 
     /** Fraction of total cycles spent in each phase. */
@@ -62,10 +72,10 @@ class PhaseProfiler : public AnnotListener
     uint64_t phaseUnderflows() const { return underflows_; }
 
   private:
-    void maybeCloseBin();
+    void closeBins();
     std::array<double, kNumPhases> cyclesNow() const;
 
-    AnnotationBus &bus_;
+    sim::Core &core_;
     std::vector<Phase> stack;
     uint64_t binInstrs;
     std::vector<PhaseTimelineBin> bins;

@@ -5,33 +5,22 @@
 namespace xlvm {
 namespace xlayer {
 
-EventTracer::EventTracer(AnnotationBus &bus, const TracerOptions &opts)
-    : bus_(bus),
+EventTracer::EventTracer(sim::Core &core, const TracerOptions &opts)
+    : core_(core),
       capacity_(opts.capacityEvents),
       tagMask_(opts.tagMask),
       runId_(opts.runId)
 {
-    if (capacity_ != 0) {
-        bus_.addListener(this);
-        subscribed_ = true;
-        chunks_.reserve(size_t((capacity_ + kChunkEvents - 1) /
-                               kChunkEvents));
-    }
-}
-
-EventTracer::~EventTracer()
-{
-    if (subscribed_)
-        bus_.removeListener(this);
+    chunks_.reserve(size_t((capacity_ + kChunkEvents - 1) / kChunkEvents));
 }
 
 void
-EventTracer::onAnnot(uint32_t tag, uint32_t payload)
+EventTracer::record(uint32_t tag, uint32_t payload)
 {
-    if (capacity_ == 0 || tag >= 32 || !((tagMask_ >> tag) & 1u))
+    if (capacity_ == 0 || !annotTagIn(tagMask_, tag))
         return;
 
-    const uint64_t cyclesFp = bus_.core().totalCyclesFp();
+    const uint64_t cyclesFp = core_.totalCyclesFp();
 
     uint64_t slot = total_ % capacity_;
     size_t chunkIdx = size_t(slot / kChunkEvents);
@@ -43,13 +32,13 @@ EventTracer::onAnnot(uint32_t tag, uint32_t payload)
     r.cyclesFp = cyclesFp;
     r.tag = tag;
     r.payload = payload;
-    r.phase = uint8_t(bus_.core().currentBucket());
+    r.phase = uint8_t(core_.currentBucket());
     r.runId = runId_;
     r.reserved0 = 0;
     r.reserved1 = 0;
     ++total_;
 
-    if (sampler_ && ((kCounterSampleTagMask >> tag) & 1u)) {
+    if (sampler_ && annotTagIn(kCounterSampleTagMask, tag)) {
         if (counters_.size() < capacity_) {
             TraceCounterSample s = sampler_();
             s.cyclesFp = cyclesFp;

@@ -2,19 +2,19 @@
  * @file
  * Streaming cross-layer event tracer.
  *
- * The aggregate profilers (phase/event/work/IR) keep lossy summaries;
- * the tracer is the complementary instrument: it subscribes to the
- * AnnotationBus and appends one fixed-size binary record per observed
- * annotation — simulated-cycle timestamp, tag, payload, active phase,
- * run id — into a chunked in-memory ring buffer. This is the analog of
- * the paper's PinTool event stream: after a run the full event sequence
- * can be replayed, filtered, summarized, or exported as a Chrome
- * trace-event file (see report/trace_export.h and tools/xlvm-trace).
+ * The aggregate profilers (phase/work/IR and the bus's per-tag counts)
+ * keep lossy summaries; the tracer is the complementary instrument: the
+ * AnnotationBus hands it every annotation and it appends one fixed-size
+ * binary record per recorded one — simulated-cycle timestamp, tag,
+ * payload, active phase, run id — into a chunked in-memory ring buffer.
+ * This is the analog of the paper's PinTool event stream: after a run
+ * the full event sequence can be replayed, filtered, summarized, or
+ * exported as a Chrome trace-event file (see report/trace_export.h and
+ * tools/xlvm-trace).
  *
  * Overhead discipline:
- *  - Disabled (capacityEvents == 0): the tracer never subscribes to the
- *    bus, so the annotation hot path pays nothing beyond the bus's
- *    existing listener loop — not even a branch inside the tracer.
+ *  - Disabled (capacityEvents == 0): the bus tests enabled() and never
+ *    calls in, so the annotation hot path pays one predictable branch.
  *  - Enabled: one tag-mask test, one O(buckets) timestamp read, and one
  *    store into a pre-decoded ring slot. No allocation after a chunk is
  *    first touched, no I/O during the run.
@@ -35,8 +35,8 @@
 #include <memory>
 #include <vector>
 
+#include "sim/core.h"
 #include "xlayer/annot.h"
-#include "xlayer/bus.h"
 
 namespace xlvm {
 namespace xlayer {
@@ -64,38 +64,18 @@ struct TraceCounterSample
     uint64_t traceCacheBytes; ///< JIT code-arena bytes emitted so far
 };
 
-/** Bit for @p tag in a tag mask (tags are small, see AnnotTag). */
+/** Bit for @p tag in a tag mask; 0 for a tag past the mask. */
 constexpr uint32_t
 traceTagBit(uint32_t tag)
 {
-    return 1u << tag;
+    return tag < kNumAnnotTagSlots ? 1u << tag : 0u;
 }
 
-/**
- * Default recording mask: every framework-level event (phases, JIT
- * lifecycle, trace entry/exit, deopt, GC, fault containment, app
- * events). The per-dispatch and per-IR-node firehoses (kDispatch,
- * kIrNode) and the per-call AOT pair (kAotEnter/kAotExit) are excluded
- * — they are well covered by the aggregate profilers and would flush
- * the ring within milliseconds (opt in with --trace-tags).
- */
-constexpr uint32_t kDefaultTraceTagMask =
-    traceTagBit(kPhaseEnter) | traceTagBit(kPhaseExit) |
-    traceTagBit(kLoopCompiled) | traceTagBit(kBridgeCompiled) |
-    traceTagBit(kTraceAborted) | traceTagBit(kTraceEnter) |
-    traceTagBit(kTraceLeave) | traceTagBit(kDeopt) |
-    traceTagBit(kGcMinor) | traceTagBit(kGcMajor) |
-    traceTagBit(kAppEvent) | traceTagBit(kTierUp) |
-    traceTagBit(kTier1Compile) | traceTagBit(kTraceBlacklisted) |
-    traceTagBit(kTraceRearmed) | traceTagBit(kTraceEvicted) |
-    traceTagBit(kCompileDowngrade);
+/** Default recording mask: the kTagTraced rows of kAnnotTags. */
+constexpr uint32_t kDefaultTraceTagMask = annotTagMask(kTagTraced);
 
 /** Tags that additionally snapshot the cross-layer counter gauges. */
-constexpr uint32_t kCounterSampleTagMask =
-    traceTagBit(kLoopCompiled) | traceTagBit(kBridgeCompiled) |
-    traceTagBit(kTraceAborted) | traceTagBit(kDeopt) |
-    traceTagBit(kGcMinor) | traceTagBit(kGcMajor) |
-    traceTagBit(kTierUp) | traceTagBit(kTier1Compile);
+constexpr uint32_t kCounterSampleTagMask = annotTagMask(kTagSampled);
 
 struct TracerOptions
 {
@@ -122,16 +102,16 @@ struct TraceLog
     uint64_t capacityEvents = 0;
 };
 
-class EventTracer : public AnnotListener
+class EventTracer
 {
   public:
     /** Records are grouped into lazily allocated chunks of this size. */
     static constexpr size_t kChunkEvents = 4096;
 
-    EventTracer(AnnotationBus &bus, const TracerOptions &opts);
-    ~EventTracer() override;
+    EventTracer(sim::Core &core, const TracerOptions &opts);
 
-    void onAnnot(uint32_t tag, uint32_t payload) override;
+    /** Record one annotation if enabled and its tag is in the mask. */
+    void record(uint32_t tag, uint32_t payload);
 
     bool enabled() const { return capacity_ != 0; }
     uint64_t capacityEvents() const { return capacity_; }
@@ -181,11 +161,10 @@ class EventTracer : public AnnotListener
   private:
     using Chunk = std::unique_ptr<TraceRecord[]>;
 
-    AnnotationBus &bus_;
+    sim::Core &core_;
     uint64_t capacity_;
     uint32_t tagMask_;
     uint8_t runId_;
-    bool subscribed_ = false;
     uint64_t total_ = 0; ///< events ever recorded
     std::vector<Chunk> chunks_;
     std::vector<TraceCounterSample> counters_;

@@ -1,45 +1,16 @@
 #include "xlayer/work_profiler.h"
 
-#include "xlayer/annot.h"
-
 namespace xlvm {
 namespace xlayer {
-
-WorkRateProfiler::WorkRateProfiler(AnnotationBus &bus,
-                                   uint64_t sample_instrs)
-    : bus_(bus), sampleInstrs(sample_instrs), nextSample(sample_instrs)
-{
-    bus_.addListener(this);
-}
-
-WorkRateProfiler::~WorkRateProfiler()
-{
-    bus_.removeListener(this);
-}
 
 void
 WorkRateProfiler::takeSample()
 {
     WorkSample s;
-    s.instructions = bus_.core().totalInstructions();
-    s.cycles = bus_.core().totalCycles();
+    s.instructions = core_.totalInstructions();
+    s.cycles = core_.totalCycles();
     s.work = work;
     samples_.push_back(s);
-}
-
-void
-WorkRateProfiler::onAnnot(uint32_t tag, uint32_t payload)
-{
-    if (tag != kDispatch)
-        return;
-    ++work;
-    if (payload >= opcodes.size())
-        opcodes.resize(payload + 1, 0);
-    ++opcodes[payload];
-    if (bus_.core().totalInstructions() >= nextSample) {
-        takeSample();
-        nextSample += sampleInstrs;
-    }
 }
 
 void

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "xlayer/bus.h"
+#include "sim/core.h"
 
 namespace xlvm {
 namespace xlayer {
@@ -30,18 +30,33 @@ struct WorkSample
     uint64_t work = 0;         ///< dispatch quanta (bytecodes) completed
 };
 
-class WorkRateProfiler : public AnnotListener
+class WorkRateProfiler
 {
   public:
     /**
      * @param sample_instrs sample the curve every this many retired
      *        instructions.
      */
-    explicit WorkRateProfiler(AnnotationBus &bus,
-                              uint64_t sample_instrs = 100000);
-    ~WorkRateProfiler() override;
+    explicit WorkRateProfiler(sim::Core &core,
+                              uint64_t sample_instrs = 100000)
+        : core_(core), sampleInstrs(sample_instrs),
+          nextSample(sample_instrs)
+    {
+    }
 
-    void onAnnot(uint32_t tag, uint32_t payload) override;
+    /** kDispatch: one unit of work, payload = opcode. */
+    void
+    dispatch(uint32_t opcode)
+    {
+        ++work;
+        if (opcode >= opcodes.size())
+            opcodes.resize(opcode + 1, 0);
+        ++opcodes[opcode];
+        if (core_.totalInstructions() >= nextSample) {
+            takeSample();
+            nextSample += sampleInstrs;
+        }
+    }
 
     uint64_t totalWork() const { return work; }
     const std::vector<WorkSample> &samples() const { return samples_; }
@@ -55,7 +70,7 @@ class WorkRateProfiler : public AnnotListener
   private:
     void takeSample();
 
-    AnnotationBus &bus_;
+    sim::Core &core_;
     uint64_t sampleInstrs;
     uint64_t nextSample;
     uint64_t work = 0;

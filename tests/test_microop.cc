@@ -6,14 +6,12 @@
  * in general) changes host dispatch only — every modeled counter must be
  * bit-identical with fusion on or off. The differential tests here run
  * the same traces and the same end-to-end workload under both settings
- * (via the JitParams toggle and via the XLVM_NO_FUSE escape hatch) and
- * compare results and counters exactly. The unit tests pin down the
- * pre-decoder's register-file layout and the fusion pass's pairing.
+ * (via the JitParams toggle) and compare results and counters exactly.
+ * The unit tests pin down the pre-decoder's register-file layout and the
+ * fusion pass's pairing.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "driver/runner.h"
 #include "jit/opt.h"
@@ -164,21 +162,6 @@ TEST(MicroOpLowering, FusedOpCarriesGuardMetadata)
         EXPECT_GE(m.snapshotIdx, 0);
         EXPECT_GT(m.pcOff2, m.pcOff);
     }
-}
-
-TEST(MicroOpLowering, EnvEscapeHatchDisablesFusion)
-{
-    setenv("XLVM_NO_FUSE", "1", 1);
-    VmContext ctx; // fuseMicroOps defaults to true; env must override
-    int code;
-    jit::Trace *t = registerCountingLoop(ctx, &code, 10);
-    EXPECT_EQ(ctx.backend.program(t->id).fusedPairs, 0u);
-    unsetenv("XLVM_NO_FUSE");
-
-    VmContext ctx2;
-    int code2;
-    jit::Trace *t2 = registerCountingLoop(ctx2, &code2, 10);
-    EXPECT_GE(ctx2.backend.program(t2->id).fusedPairs, 2u);
 }
 
 // ---- differential: fusion must not change any observable -------------

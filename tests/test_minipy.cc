@@ -400,8 +400,8 @@ TEST(Jit, CompilesAndExecutesTraces)
     EXPECT_GE(ctx.registry.size(), 1u);
     EXPECT_GT(ctx.executor.iterationCount(), 100u);
     // Phase accounting: some cycles in the JIT phase.
-    EXPECT_GT(ctx.phases.phaseCounters(xlayer::Phase::Jit).cycles(), 0.0);
-    EXPECT_GT(ctx.phases.phaseCounters(xlayer::Phase::Tracing).cycles(),
+    EXPECT_GT(ctx.bus.phases.phaseCounters(xlayer::Phase::Jit).cycles(), 0.0);
+    EXPECT_GT(ctx.bus.phases.phaseCounters(xlayer::Phase::Tracing).cycles(),
               0.0);
 }
 
@@ -440,10 +440,10 @@ TEST(Jit, WorkRateCountsDispatches)
                               ctx.space);
     Interp interp(ctx, *prog);
     ASSERT_TRUE(interp.run());
-    ctx.work.finalize();
+    ctx.bus.work.finalize();
     // Work (bytecodes) executed on either side of the JIT boundary is
     // counted uniformly through the dispatch annotation.
-    EXPECT_GT(ctx.work.totalWork(), 1000u);
+    EXPECT_GT(ctx.bus.work.totalWork(), 1000u);
 }
 
 TEST(Jit, BudgetStopsExecution)

@@ -3,12 +3,16 @@
  * Tests for the reproduction driver (bench/repro.h): a run listed by
  * several sweeps is simulated once and recorded in every report that
  * lists it, probes run without flags, and malformed flags are one-line
- * usage errors with exit status 2.
+ * usage errors with exit status 2. XLVM_TIER_MODE and XLVM_INJECT are
+ * read here once, beneath the flags, and never again by the runner.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "bench_common.h"
+#include "driver/runner.h"
 #include "repro.h"
 
 namespace xlvm {
@@ -193,6 +197,70 @@ TEST(ReproArgs, ParsesJobs)
     EXPECT_EQ(parse({}).jobs, 0u);
     EXPECT_EXIT(parse({"-j", "four"}), testing::ExitedWithCode(2),
                 "^--jobs: invalid value 'four'");
+}
+
+TEST(ReproArgs, UnknownTraceTagNumberLeavesMaskUnchanged)
+{
+    // 40 would shift a 32-bit mask past its width.
+    EXPECT_EQ(parse({"--trace-tags", "40"}).traceTagMask,
+              xlayer::kDefaultTraceTagMask);
+    EXPECT_EQ(parse({"--trace-tags", "32,dispatch"}).traceTagMask,
+              xlayer::kDefaultTraceTagMask |
+                  xlayer::traceTagBit(xlayer::kDispatch));
+}
+
+// ---- environment: read once, beneath the flags ---------------------------
+
+/** Sets an environment variable for one scope. */
+struct ScopedEnv
+{
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv() { unsetenv(name_); }
+
+    const char *name_;
+};
+
+TEST(ReproArgs, EnvironmentSetsTierModeAndInject)
+{
+    ScopedEnv tier("XLVM_TIER_MODE", "tier1");
+    ScopedEnv inject("XLVM_INJECT", "recorder:5");
+    ReproArgs a = parse({});
+    EXPECT_EQ(a.tierMode, vm::TierMode::Tier1);
+    EXPECT_EQ(a.inject, "recorder:5");
+}
+
+TEST(ReproArgs, FlagsBeatEnvironment)
+{
+    ScopedEnv tier("XLVM_TIER_MODE", "tier1");
+    ScopedEnv inject("XLVM_INJECT", "recorder:5");
+    ReproArgs a = parse({"--tier-mode", "multi", "--inject", "optimizer:2"});
+    EXPECT_EQ(a.tierMode, vm::TierMode::Multi);
+    EXPECT_EQ(a.inject, "optimizer:2");
+
+    // The runner does not read the environment again: a tier-2 run
+    // stays tier 2 whatever XLVM_TIER_MODE says.
+    RunOptions o = baseOptions("crypto_pyaes", VmKind::PyPyJit);
+    o.scale = 40;
+    driver::RunResult r = driver::runWorkload(o);
+    EXPECT_GT(r.loopsCompiled, 0u);
+    EXPECT_EQ(r.tier1Compiles, 0u);
+}
+
+TEST(ReproArgsDeathTest, MalformedEnvironmentExits2)
+{
+    {
+        ScopedEnv tier("XLVM_TIER_MODE", "bogus");
+        EXPECT_EXIT(parse({}), testing::ExitedWithCode(2),
+                    "^--tier-mode: unknown mode 'bogus'[^\n]*\n$");
+    }
+    ScopedEnv inject("XLVM_INJECT", "nosuch:1");
+    EXPECT_EXIT(parse({}), testing::ExitedWithCode(2),
+                "^--inject: unknown site 'nosuch'[^\n]*\n$");
+    // A flag wins, so the bad value is never parsed.
+    EXPECT_EQ(parse({"--inject", "recorder:1"}).inject, "recorder:1");
 }
 
 } // namespace

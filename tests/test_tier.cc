@@ -10,13 +10,10 @@
  * must be safe against everything that can race it: a guard-side bridge
  * getting hot while the promotion is pending, and parallel sweeps
  * interleaving runs. The tests here pin both halves, plus the
- * XLVM_TIER_MODE env hatch and the degenerate threshold==0
- * configurations.
+ * degenerate threshold==0 configurations.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "driver/parallel.h"
 #include "driver/runner.h"
@@ -240,37 +237,6 @@ TEST(TierParallel, PerTierCountersInvariantAcrossJobs)
         SCOPED_TRACE(runs[i].workload);
         expectModeledCountersIdentical(seq[i], par[i]);
     }
-}
-
-// ---- env hatch --------------------------------------------------------
-
-TEST(TierEnv, EnvHatchOverridesRunOptions)
-{
-    driver::RunOptions o = baseOptions("crypto_pyaes", 40);
-    // Options say default; the env hatch forces multi.
-    o.tierMode = vm::TierMode::Tier2;
-    setenv("XLVM_TIER_MODE", "multi", 1);
-    driver::RunResult viaEnv = driver::runWorkload(o);
-    unsetenv("XLVM_TIER_MODE");
-
-    driver::RunOptions m = o;
-    m.tierMode = vm::TierMode::Multi;
-    driver::RunResult viaOpts = driver::runWorkload(m);
-
-    expectModeledCountersIdentical(viaEnv, viaOpts);
-    EXPECT_GT(viaEnv.tierPromotions, 0u);
-}
-
-TEST(TierEnv, UnknownEnvValueIsIgnored)
-{
-    driver::RunOptions o = baseOptions("crypto_pyaes", 40);
-    setenv("XLVM_TIER_MODE", "bogus", 1);
-    driver::RunResult viaEnv = driver::runWorkload(o);
-    unsetenv("XLVM_TIER_MODE");
-
-    driver::RunResult plain = driver::runWorkload(o);
-    expectModeledCountersIdentical(viaEnv, plain);
-    EXPECT_EQ(viaEnv.tier1Compiles, 0u);
 }
 
 } // namespace

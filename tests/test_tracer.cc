@@ -16,19 +16,11 @@
 #include "sim/emitter.h"
 #include "xlayer/annot.h"
 #include "xlayer/bus.h"
-#include "xlayer/phase_profiler.h"
-#include "xlayer/tracer.h"
 
 namespace xlvm {
 namespace {
 
 using namespace xlayer;
-
-struct Fixture
-{
-    sim::Core core;
-    AnnotationBus bus{core};
-};
 
 TracerOptions
 capOpts(uint64_t capacity)
@@ -38,10 +30,23 @@ capOpts(uint64_t capacity)
     return o;
 }
 
+/** A bare core whose bus owns a tracer with the given options. */
+struct Fixture
+{
+    explicit Fixture(const TracerOptions &opts = {})
+        : bus(core, 0, 100000, opts)
+    {
+    }
+
+    sim::Core core;
+    AnnotationBus bus;
+    EventTracer &tracer = bus.tracer;
+};
+
 TEST(TracerRing, WraparoundKeepsNewestAndCountsDrops)
 {
-    Fixture f;
-    EventTracer tracer(f.bus, capOpts(10));
+    Fixture f(capOpts(10));
+    EventTracer &tracer = f.tracer;
     ASSERT_TRUE(tracer.enabled());
 
     sim::BlockEmitter e(f.core, 0x400000);
@@ -62,9 +67,9 @@ TEST(TracerRing, WraparoundKeepsNewestAndCountsDrops)
 
 TEST(TracerRing, WraparoundAcrossChunkBoundary)
 {
-    Fixture f;
     const uint64_t cap = EventTracer::kChunkEvents + 1000;
-    EventTracer tracer(f.bus, capOpts(cap));
+    Fixture f(capOpts(cap));
+    EventTracer &tracer = f.tracer;
     sim::BlockEmitter e(f.core, 0x400000);
     const uint32_t emitted = uint32_t(2 * cap + 17);
     for (uint32_t i = 0; i < emitted; ++i)
@@ -79,22 +84,22 @@ TEST(TracerRing, WraparoundAcrossChunkBoundary)
 
 TEST(TracerRing, DisabledNeverSubscribesOrRecords)
 {
-    Fixture f;
-    EventTracer tracer(f.bus, capOpts(0));
+    Fixture f(capOpts(0));
+    EventTracer &tracer = f.tracer;
     EXPECT_FALSE(tracer.enabled());
     sim::BlockEmitter e(f.core, 0x400000);
     e.annot(kDeopt, 1);
     EXPECT_EQ(tracer.recordedEvents(), 0u);
     EXPECT_EQ(tracer.size(), 0u);
     // Direct delivery must also be a no-op, not a division by zero.
-    tracer.onAnnot(kDeopt, 2);
+    tracer.record(kDeopt, 2);
     EXPECT_EQ(tracer.recordedEvents(), 0u);
 }
 
 TEST(TracerRing, DefaultTagMaskExcludesFirehoseTags)
 {
-    Fixture f;
-    EventTracer tracer(f.bus, capOpts(100));
+    Fixture f(capOpts(100));
+    EventTracer &tracer = f.tracer;
     sim::BlockEmitter e(f.core, 0x400000);
     e.annot(kDispatch, 1);
     e.annot(kIrNode, 2);
@@ -108,11 +113,10 @@ TEST(TracerRing, DefaultTagMaskExcludesFirehoseTags)
 
 TEST(TracerRing, RecordsPhaseAfterTransitionAndRunId)
 {
-    Fixture f;
-    PhaseProfiler phases(f.bus); // registered first: updates the bucket
     TracerOptions opts = capOpts(100);
     opts.runId = 42;
-    EventTracer tracer(f.bus, opts);
+    Fixture f(opts);
+    EventTracer &tracer = f.tracer;
 
     sim::BlockEmitter e(f.core, 0x400000);
     e.annot(kPhaseEnter, uint32_t(Phase::Jit));
@@ -131,8 +135,8 @@ TEST(TracerRing, RecordsPhaseAfterTransitionAndRunId)
 
 TEST(TracerRing, CounterSamplerFiresOnFrameworkEvents)
 {
-    Fixture f;
-    EventTracer tracer(f.bus, capOpts(100));
+    Fixture f(capOpts(100));
+    EventTracer &tracer = f.tracer;
     tracer.setCounterSampler([] {
         TraceCounterSample s{};
         s.heapBytes = 111;
@@ -153,8 +157,8 @@ TEST(TracerRing, CounterSamplerFiresOnFrameworkEvents)
 
 TEST(TracerRing, TakeDrainsOldestFirstAndResets)
 {
-    Fixture f;
-    EventTracer tracer(f.bus, capOpts(4));
+    Fixture f(capOpts(4));
+    EventTracer &tracer = f.tracer;
     sim::BlockEmitter e(f.core, 0x400000);
     for (uint32_t i = 0; i < 6; ++i)
         e.annot(kAppEvent, i);
@@ -175,29 +179,27 @@ TEST(TracerRing, TakeDrainsOldestFirstAndResets)
 
 TEST(TagNames, RoundTrip)
 {
-    EXPECT_STREQ(report::annotTagName(kDeopt), "deopt");
+    EXPECT_STREQ(annotTagName(kDeopt), "deopt");
     EXPECT_EQ(report::annotTagFromString("deopt"), int32_t(kDeopt));
     EXPECT_EQ(report::annotTagFromString("9"), int32_t(kDeopt));
     EXPECT_EQ(report::annotTagFromString("gc_minor"),
               int32_t(kGcMinor));
     EXPECT_EQ(report::annotTagFromString("nonsense"), -1);
+    // Numbers index 32-bit tag masks: past them is unknown, not UB.
+    EXPECT_EQ(report::annotTagFromString("31"), 31);
+    EXPECT_EQ(report::annotTagFromString("32"), -1);
+    EXPECT_EQ(report::annotTagFromString("40"), -1);
 
     // Every live AnnotTag has a name that parses back to it, so
     // --trace-tags can select it; retired numbers stay nameless.
-    const AnnotTag live[] = {
-        kPhaseEnter,   kPhaseExit,        kDispatch,     kLoopCompiled,
-        kBridgeCompiled, kTraceAborted,   kTraceEnter,   kTraceLeave,
-        kDeopt,        kGcMinor,          kGcMajor,      kAotEnter,
-        kAotExit,      kIrNode,           kAppEvent,     kTierUp,
-        kTier1Compile, kTraceBlacklisted, kTraceRearmed, kTraceEvicted,
-        kCompileDowngrade};
-    for (AnnotTag tag : live) {
-        const char *name = report::annotTagName(tag);
-        ASSERT_NE(name, nullptr) << "tag " << tag;
-        EXPECT_EQ(report::annotTagFromString(name), int32_t(tag)) << name;
+    for (const AnnotTagInfo &t : kAnnotTags) {
+        ASSERT_NE(t.name, nullptr) << "tag " << t.tag;
+        EXPECT_STREQ(annotTagName(t.tag), t.name);
+        EXPECT_EQ(report::annotTagFromString(t.name), int32_t(t.tag))
+            << t.name;
     }
     for (uint32_t retired : {16u, 17u, 18u, 21u, 22u})
-        EXPECT_EQ(report::annotTagName(retired), nullptr) << retired;
+        EXPECT_EQ(annotTagName(retired), nullptr) << retired;
     // Fault containment is framework-level: recorded by default.
     for (AnnotTag tag : {kTraceBlacklisted, kTraceRearmed, kTraceEvicted,
                          kCompileDowngrade})
@@ -663,7 +665,7 @@ TEST(Differential, TracerOnVsOffCountersBitIdentical)
 TEST(PhaseProfilerUnderflow, ExitOnBottomedStackIsCountedNotPopped)
 {
     Fixture f;
-    PhaseProfiler phases(f.bus);
+    PhaseProfiler &phases = f.bus.phases;
     sim::BlockEmitter e(f.core, 0x400000);
 
     e.annot(kPhaseExit, uint32_t(Phase::Interpreter)); // malformed

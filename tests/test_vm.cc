@@ -110,14 +110,14 @@ TEST(Executor, EmitsJitPhaseAndDispatchWork)
     int code;
     jit::Trace *t = registerCountingLoop(ctx, &code, 50);
     ctx.executor.run(*t, {RtVal::fromRef(ctx.space.newInt(0))});
-    ctx.work.finalize();
+    ctx.bus.work.finalize();
     // The debug_merge_point in the trace carries the dispatch
     // annotation: work advances inside JIT code.
-    EXPECT_GE(ctx.work.totalWork(), 50u);
-    EXPECT_GT(ctx.phases.phaseCounters(xlayer::Phase::Jit).cycles(),
+    EXPECT_GE(ctx.bus.work.totalWork(), 50u);
+    EXPECT_GT(ctx.bus.phases.phaseCounters(xlayer::Phase::Jit).cycles(),
               0.0);
     EXPECT_GT(
-        ctx.phases.phaseCounters(xlayer::Phase::Blackhole).cycles(),
+        ctx.bus.phases.phaseCounters(xlayer::Phase::Blackhole).cycles(),
         0.0);
 }
 
@@ -319,8 +319,8 @@ TEST(GcHooks, CollectionsLandInGcPhase)
         ctx.space.newStr(std::string(64, 'x'));
     ctx.heap.safepoint();
     EXPECT_GT(ctx.heap.stats().minorCollections, 0u);
-    EXPECT_GT(ctx.phases.phaseCounters(xlayer::Phase::Gc).cycles(), 0.0);
-    EXPECT_GT(ctx.events.gcMinor, 0u);
+    EXPECT_GT(ctx.bus.phases.phaseCounters(xlayer::Phase::Gc).cycles(), 0.0);
+    EXPECT_GT(ctx.bus.count(xlayer::kGcMinor), 0u);
 }
 
 TEST(Registry, TraceConstsAreGcRoots)

@@ -3,49 +3,29 @@
 #include "sim/core.h"
 #include "sim/emitter.h"
 #include "xlayer/annot.h"
-#include "xlayer/aot_profiler.h"
 #include "xlayer/bus.h"
-#include "xlayer/event_profiler.h"
-#include "xlayer/irnode_profiler.h"
-#include "xlayer/phase_profiler.h"
-#include "xlayer/work_profiler.h"
 
 namespace xlvm {
 namespace xlayer {
 namespace {
 
+/** A bare core and its bus, with the bus's instrument parameters. */
 struct Fixture
 {
+    explicit Fixture(uint64_t timeline_bin = 0,
+                     uint64_t work_sample_instrs = 100000)
+        : bus(core, timeline_bin, work_sample_instrs)
+    {
+    }
+
     sim::Core core;
-    AnnotationBus bus{core};
+    AnnotationBus bus;
 };
-
-TEST(Bus, FansOutToAllListeners)
-{
-    Fixture f;
-    EventProfiler a(f.bus), b(f.bus);
-    sim::BlockEmitter e(f.core, 0x400000);
-    e.annot(kDeopt, 1);
-    EXPECT_EQ(a.deopts, 1u);
-    EXPECT_EQ(b.deopts, 1u);
-}
-
-TEST(Bus, RemoveListenerStopsDelivery)
-{
-    Fixture f;
-    auto *p = new EventProfiler(f.bus);
-    sim::BlockEmitter e(f.core, 0x400000);
-    e.annot(kDeopt, 1);
-    EXPECT_EQ(p->deopts, 1u);
-    delete p; // unsubscribes
-    sim::BlockEmitter e2(f.core, 0x400000);
-    e2.annot(kDeopt, 2); // must not crash
-}
 
 TEST(PhaseProfiler, BucketsFollowPhaseStack)
 {
     Fixture f;
-    PhaseProfiler phases(f.bus);
+    PhaseProfiler &phases = f.bus.phases;
     EXPECT_EQ(phases.currentPhase(), Phase::Interpreter);
 
     sim::BlockEmitter e(f.core, 0x400000);
@@ -68,7 +48,7 @@ TEST(PhaseProfiler, BucketsFollowPhaseStack)
 TEST(PhaseProfiler, SharesSumToOne)
 {
     Fixture f;
-    PhaseProfiler phases(f.bus);
+    PhaseProfiler &phases = f.bus.phases;
     sim::BlockEmitter e(f.core, 0x400000);
     e.alu(10);
     e.annot(kPhaseEnter, uint32_t(Phase::Jit));
@@ -85,8 +65,8 @@ TEST(PhaseProfiler, SharesSumToOne)
 
 TEST(PhaseProfiler, TimelineBinsCoverRun)
 {
-    Fixture f;
-    PhaseProfiler phases(f.bus, 100);
+    Fixture f(100);
+    PhaseProfiler &phases = f.bus.phases;
     sim::BlockEmitter e(f.core, 0x400000);
     for (int i = 0; i < 50; ++i) {
         e.alu(10);
@@ -98,8 +78,8 @@ TEST(PhaseProfiler, TimelineBinsCoverRun)
 
 TEST(WorkRate, CountsDispatchQuanta)
 {
-    Fixture f;
-    WorkRateProfiler work(f.bus, 50);
+    Fixture f(0, 50);
+    WorkRateProfiler &work = f.bus.work;
     sim::BlockEmitter e(f.core, 0x400000);
     for (int i = 0; i < 30; ++i) {
         e.annot(kDispatch, i % 3);
@@ -139,7 +119,7 @@ TEST(WorkRate, BreakEvenImmediate)
 TEST(AotProfiler, AttributesOutermostEntry)
 {
     Fixture f;
-    AotCallProfiler aot(f.bus);
+    AotCallProfiler &aot = f.bus.aot;
     sim::BlockEmitter e(f.core, 0x400000);
 
     e.annot(kAotEnter, 5);
@@ -159,7 +139,7 @@ TEST(AotProfiler, AttributesOutermostEntry)
 TEST(AotProfiler, MinShareFilters)
 {
     Fixture f;
-    AotCallProfiler aot(f.bus);
+    AotCallProfiler &aot = f.bus.aot;
     sim::BlockEmitter e(f.core, 0x400000);
     e.annot(kAotEnter, 1);
     e.alu(1000);
@@ -179,7 +159,7 @@ TEST(AotProfiler, MinShareFilters)
 TEST(IrNodeProfiler, CountsPerNode)
 {
     Fixture f;
-    IrNodeProfiler ir(f.bus);
+    IrNodeProfiler &ir = f.bus.ir;
     sim::BlockEmitter e(f.core, 0x400000);
     for (int i = 0; i < 5; ++i)
         e.annot(kIrNode, 3);
@@ -189,28 +169,36 @@ TEST(IrNodeProfiler, CountsPerNode)
     EXPECT_EQ(ir.execCounts()[10], 1u);
 }
 
-TEST(EventProfiler, CountsAllKinds)
+TEST(Bus, CountsEveryTagAndAbortReason)
 {
     Fixture f;
-    EventProfiler ev(f.bus);
     sim::BlockEmitter e(f.core, 0x400000);
     e.annot(kLoopCompiled, 0);
     e.annot(kBridgeCompiled, 1);
     e.annot(kTraceAborted, 2);
+    e.annot(kTraceAborted, 999); // unknown reason: slot 0
     e.annot(kTraceEnter, 0);
     e.annot(kTraceEnter, 0);
     e.annot(kDeopt, 7);
     e.annot(kGcMinor, 0);
     e.annot(kGcMajor, 0);
     e.annot(kAppEvent, 3);
-    EXPECT_EQ(ev.loopsCompiled, 1u);
-    EXPECT_EQ(ev.bridgesCompiled, 1u);
-    EXPECT_EQ(ev.tracesAborted, 1u);
-    EXPECT_EQ(ev.traceEnters, 2u);
-    EXPECT_EQ(ev.deopts, 1u);
-    EXPECT_EQ(ev.gcMinor, 1u);
-    EXPECT_EQ(ev.gcMajor, 1u);
-    EXPECT_EQ(ev.appEvents, 1u);
+    e.annot(kDispatch, 4);
+    e.annot(40, 1); // past the tag slots: routed nowhere, not counted
+    EXPECT_EQ(f.bus.count(kLoopCompiled), 1u);
+    EXPECT_EQ(f.bus.count(kBridgeCompiled), 1u);
+    EXPECT_EQ(f.bus.count(kTraceAborted), 2u);
+    EXPECT_EQ(f.bus.count(kTraceEnter), 2u);
+    EXPECT_EQ(f.bus.count(kDeopt), 1u);
+    EXPECT_EQ(f.bus.count(kGcMinor), 1u);
+    EXPECT_EQ(f.bus.count(kGcMajor), 1u);
+    EXPECT_EQ(f.bus.count(kAppEvent), 1u);
+    EXPECT_EQ(f.bus.count(kDispatch), 1u);
+    EXPECT_EQ(f.bus.count(kTierUp), 0u);
+    EXPECT_EQ(f.bus.count(40), 0u);
+    EXPECT_EQ(f.bus.abortReasons[2], 1u);
+    EXPECT_EQ(f.bus.abortReasons[0], 1u);
+    EXPECT_EQ(f.bus.work.totalWork(), 1u);
 }
 
 } // namespace
