@@ -81,8 +81,6 @@ Heap::collectMinor()
         } else {
             ++cs.objectsFreed;
             cs.bytesFreed += o->heapBytes();
-            if (hooks)
-                hooks->onObjectFree(o);
             delete o;
         }
     }
@@ -129,8 +127,6 @@ Heap::collectMajor()
         } else {
             ++cs.objectsFreed;
             cs.bytesFreed += o->heapBytes();
-            if (hooks)
-                hooks->onObjectFree(o);
             delete o;
         }
     }
@@ -146,8 +142,6 @@ Heap::collectMajor()
         } else {
             ++cs.objectsFreed;
             cs.bytesFreed += o->heapBytes();
-            if (hooks)
-                hooks->onObjectFree(o);
             delete o;
         }
     }

@@ -58,6 +58,15 @@ class GcObject
      */
     uint64_t allocId() const { return allocSeq; }
 
+    /**
+     * The object's synthetic data-address slot, kept in the header for
+     * the simulated core (see sim::DataAddrSpace::translateSlot): slot
+     * + 1, or 0 until the first translate. It lives and dies with the
+     * object, so a new object at a recycled host address starts
+     * unassigned and draws a fresh line.
+     */
+    uint32_t &dataAddrSlot() const { return dataSlot; }
+
   private:
     friend class Heap;
     friend class GcVisitor;
@@ -65,6 +74,8 @@ class GcObject
     static constexpr uint8_t kOld = 2;
     static constexpr uint8_t kRemembered = 4;
     uint8_t gcFlags = 0;
+    // Sits in the padding before allocSeq: the header stays 24 bytes.
+    mutable uint32_t dataSlot = 0;
     uint64_t allocSeq = 0;
 };
 
@@ -124,12 +135,6 @@ class GcHooks
     virtual ~GcHooks() = default;
     virtual void onCollectStart(bool major) = 0;
     virtual void onCollectEnd(const GcCollectionStats &stats) = 0;
-    /**
-     * Called for each object a collection is about to free, so the
-     * instrumentation layer can drop per-pointer state (the simulated
-     * data-address mapping) before the host memory is recycled.
-     */
-    virtual void onObjectFree(const GcObject *) {}
 };
 
 struct HeapParams

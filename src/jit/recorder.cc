@@ -306,18 +306,5 @@ Recorder::take()
     return std::move(trace_);
 }
 
-void
-Recorder::forEachLiveRef(const std::function<void(void *)> &cb) const
-{
-    for (const auto &[obj, box] : refMap) {
-        (void)box;
-        cb(obj);
-    }
-    for (const RtVal &v : trace_.consts) {
-        if (v.kind == RtVal::Kind::Ref && v.r)
-            cb(v.r);
-    }
-}
-
 } // namespace jit
 } // namespace xlvm

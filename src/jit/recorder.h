@@ -155,8 +155,22 @@ class Recorder
     Trace take();
     const Trace &trace() const { return trace_; }
 
-    /** Iterate object refs the recorder must keep alive (GC roots). */
-    void forEachLiveRef(const std::function<void(void *)> &cb) const;
+    /**
+     * Call @p cb(void *) on every object ref the recorder must keep
+     * alive (GC roots). A template: the GC root path passes its visitor
+     * lambda straight through, with no type-erased call per ref.
+     */
+    template <typename Fn>
+    void
+    forEachLiveRef(Fn &&cb) const
+    {
+        for (const auto &entry : refMap)
+            cb(entry.first);
+        for (const RtVal &v : trace_.consts) {
+            if (v.kind == RtVal::Kind::Ref && v.r)
+                cb(v.r);
+        }
+    }
 
     /** Runtime value the interpreter observed for a const ref. */
     const RtVal &constVal(int32_t ref) const { return trace_.constAt(ref); }

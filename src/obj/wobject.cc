@@ -604,6 +604,24 @@ W_Range::rtGetField(uint32_t idx) const
     }
 }
 
+void
+W_Range::rtSetField(uint32_t idx, const RtVal &v, gc::Heap &)
+{
+    switch (idx) {
+      case kFieldRangeCur:
+        begin = v.i;
+        return;
+      case kFieldRangeStop:
+        end = v.i;
+        return;
+      case kFieldRangeStep:
+        step = v.i;
+        return;
+      default:
+        XLVM_PANIC("bad W_Range field ", idx);
+    }
+}
+
 int64_t
 W_Range::rtLen() const
 {

@@ -469,6 +469,8 @@ class W_Range : public W_Object
     {
     }
     jit::RtVal rtGetField(uint32_t idx) const override;
+    void rtSetField(uint32_t idx, const jit::RtVal &v,
+                    gc::Heap &heap) override;
     int64_t rtLen() const override;
     int64_t begin, end, step;
 };

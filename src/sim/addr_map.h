@@ -8,16 +8,19 @@
  * — and with it every reported cycle count — varied from process to
  * process and, once runs execute on worker threads, with the thread
  * interleaving. DataAddrSpace removes that dependence: each distinct
- * host pointer is assigned a synthetic line-aligned address in
- * first-access order, which is a property of the simulated program
- * alone. Identical runs therefore produce bit-identical counters no
- * matter where the host allocator placed the objects.
+ * object is assigned a synthetic line-aligned address in first-access
+ * order, which is a property of the simulated program alone. Identical
+ * runs therefore produce bit-identical counters no matter where the host
+ * allocator placed the objects.
  *
- * Pointers whose memory is recycled mid-run (GC-collected objects) must
- * be release()d when freed so a reused host address maps to a fresh
- * synthetic line instead of silently aliasing the dead object's cache
- * footprint — the GC free path forwards deletions here via
- * gc::GcHooks::onObjectFree.
+ * Two kinds of object draw from one slot counter:
+ *  - GC objects keep their slot in their own header (translateSlot).
+ *    The slot dies with the object, so a new object at a recycled host
+ *    address starts unassigned and draws a fresh line instead of
+ *    aliasing the dead object's cache footprint. No free hook is needed.
+ *  - Every other pointer (the interpreter, its frame stack, the
+ *    execution environment) lives for the whole run and goes through
+ *    the pointer map (translate).
  */
 
 #ifndef XLVM_SIM_ADDR_MAP_H
@@ -25,6 +28,8 @@
 
 #include <cstdint>
 #include <unordered_map>
+
+#include "common/logging.h"
 
 namespace xlvm {
 namespace sim {
@@ -34,10 +39,10 @@ class DataAddrSpace
   public:
     /** Synthetic data segment; far above every CodeSpace segment. */
     static constexpr uint64_t kBase = 1ull << 40;
-    /** Each mapped pointer owns one line-sized slot. */
+    /** Each translated object owns one line-sized slot. */
     static constexpr uint64_t kSlotBytes = 64;
 
-    /** Map a host pointer to its stable synthetic address. */
+    /** Map a non-GC host pointer to its stable synthetic address. */
     uint64_t
     translate(const void *p)
     {
@@ -59,20 +64,19 @@ class DataAddrSpace
     }
 
     /**
-     * Forget a pointer whose memory is being freed. The next allocation
-     * reusing the host address gets a fresh synthetic line.
+     * Synthetic address of an object that keeps its own @p slot (slot +
+     * 1; 0 = unassigned). The first call draws the next slot, in the
+     * same first-access order as translate().
      */
-    void
-    release(const void *p)
+    uint64_t
+    translateSlot(uint32_t &slot)
     {
-        uintptr_t key = reinterpret_cast<uintptr_t>(p);
-        uint32_t slot = cacheSlot(key);
-        if (cacheKeys[slot] == key)
-            cacheKeys[slot] = 0;
-        map.erase(key);
+        if (slot == 0) {
+            XLVM_ASSERT(nextSlot < UINT32_MAX, "data address slots exhausted");
+            slot = uint32_t(++nextSlot);
+        }
+        return kBase + uint64_t(slot - 1) * kSlotBytes;
     }
-
-    size_t mappedCount() const { return map.size(); }
 
   private:
     static constexpr uint32_t kCacheEntries = 256;
@@ -84,8 +88,8 @@ class DataAddrSpace
         return uint32_t(key >> 4) & (kCacheEntries - 1);
     }
 
-    /** Direct-mapped front cache: the hot loop re-translates the same
-     *  few pointers (interpreter, frame stack, current objects). */
+    /** Direct-mapped front cache: the dispatch loop re-translates the
+     *  same few pointers (interpreter, frame stack) over and over. */
     uintptr_t cacheKeys[kCacheEntries] = {};
     uint64_t cacheVals[kCacheEntries] = {};
     std::unordered_map<uintptr_t, uint64_t> map;

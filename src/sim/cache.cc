@@ -33,9 +33,8 @@ Cache::Cache(const CacheParams &p)
 }
 
 bool
-Cache::accessN(uint64_t addr, uint32_t n)
+Cache::accessSlow(uint64_t line, uint32_t n)
 {
-    uint64_t line = addr >> lineShift;
     uint32_t set = static_cast<uint32_t>(line) & (numSets - 1);
     uint64_t tag = line >> 1; // keep some set bits in the tag; cheap
     Way *base = &ways_[set * numWays];
@@ -44,8 +43,10 @@ Cache::accessN(uint64_t addr, uint32_t n)
     // MRU fast path: straight-line and loopy code mostly re-touches the
     // way it hit last time, skipping the associative scan.
     uint32_t m = mru_[set];
+    lastLine = line;
     if (base[m].valid && base[m].tag == tag) {
         base[m].lastUse = useClock;
+        lastWay = set * numWays + m;
         nHits += n;
         return true;
     }
@@ -54,6 +55,7 @@ Cache::accessN(uint64_t addr, uint32_t n)
         if (base[w].valid && base[w].tag == tag) {
             base[w].lastUse = useClock;
             mru_[set] = uint8_t(w);
+            lastWay = set * numWays + w;
             nHits += n;
             return true;
         }
@@ -77,6 +79,7 @@ Cache::accessN(uint64_t addr, uint32_t n)
     base[victim].tag = tag;
     base[victim].lastUse = useClock;
     mru_[set] = uint8_t(victim);
+    lastWay = set * numWays + victim;
     ++nMisses;
     nHits += n - 1;
     return false;
@@ -88,6 +91,7 @@ Cache::reset()
     std::fill(ways_.begin(), ways_.end(), Way());
     std::fill(mru_.begin(), mru_.end(), uint8_t(0));
     useClock = 0;
+    lastLine = kNoLine;
     nHits = nMisses = 0;
 }
 

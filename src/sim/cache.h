@@ -6,11 +6,15 @@
  * hit/miss behaviour is modeled (no MSHRs or bandwidth); the Core charges
  * a fixed partially-overlapped penalty per miss.
  *
- * Two hot-path shortcuts keep the per-instruction cost low without
- * changing any observable state: a per-set MRU pointer is probed before
- * the associative scan, and accessN() folds a run of same-line probes
- * (straight-line fetch) into one lookup. Both are bit-identical to the
- * naive probe loop.
+ * Three hot-path shortcuts keep the per-instruction cost low without
+ * changing any observable state, each bit-identical to the naive probe
+ * loop:
+ *  - accessN() folds a run of same-line probes (straight-line fetch)
+ *    into one lookup;
+ *  - an access to the same line as the previous access is an inline hit
+ *    (nothing has touched the cache since, so the line is still resident
+ *    in the remembered way); everything else goes to accessSlow();
+ *  - accessSlow() probes the set's MRU way before the associative scan.
  */
 
 #ifndef XLVM_SIM_CACHE_H
@@ -46,7 +50,18 @@ class Cache
      * last-use stamp is the final clock value.
      * @return true if the first probe hit.
      */
-    bool accessN(uint64_t addr, uint32_t n);
+    bool
+    accessN(uint64_t addr, uint32_t n)
+    {
+        uint64_t line = addr >> lineShift;
+        if (line == lastLine) {
+            useClock += n;
+            ways_[lastWay].lastUse = useClock;
+            nHits += n;
+            return true;
+        }
+        return accessSlow(line, n);
+    }
 
     uint64_t hits() const { return nHits; }
     uint64_t misses() const { return nMisses; }
@@ -55,10 +70,18 @@ class Cache
 
     void resetStats() { nHits = nMisses = 0; }
 
-    /** Full reset: counters, contents, LRU clock, MRU pointers. */
+    /** Full reset: counters, contents, LRU clock, MRU pointers and the
+     *  same-line check. */
     void reset();
 
   private:
+    /** No previous access (an address whose line is all ones is never
+     *  probed). */
+    static constexpr uint64_t kNoLine = ~0ull;
+
+    /** Set lookup, MRU probe, associative scan and LRU fill. */
+    bool accessSlow(uint64_t line, uint32_t n);
+
     struct Way
     {
         uint64_t tag = ~0ull;
@@ -73,6 +96,9 @@ class Cache
     uint32_t numWays;
     uint32_t lineShift;
     uint32_t useClock = 0;
+    /** Line of the previous access and the index in ways_ it sits in. */
+    uint64_t lastLine = kNoLine;
+    uint32_t lastWay = 0;
     uint64_t nHits = 0;
     uint64_t nMisses = 0;
 };

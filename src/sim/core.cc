@@ -61,24 +61,6 @@ Core::totalCounters() const
     return total;
 }
 
-uint64_t
-Core::totalInstructions() const
-{
-    uint64_t n = 0;
-    for (const auto &b : buckets)
-        n += b.instructions;
-    return n;
-}
-
-uint64_t
-Core::totalCyclesFp() const
-{
-    uint64_t c = 0;
-    for (const auto &b : buckets)
-        c += b.cyclesFp;
-    return c;
-}
-
 double
 Core::totalCycles() const
 {
@@ -96,6 +78,7 @@ Core::resetStats()
 {
     for (auto &b : buckets)
         b = PerfCounters();
+    otherInstructions = otherCyclesFp = 0;
     icache.reset();
     dcache.reset();
     branchUnit.reset();

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
 
 #include "sim/addr_map.h"
@@ -26,6 +27,16 @@
 
 namespace xlvm {
 namespace sim {
+
+/**
+ * An object that keeps its own synthetic data-address slot in its header
+ * (gc::GcObject). The core reaches it through this shape alone, so sim
+ * does not depend on gc.
+ */
+template <typename T>
+concept HasDataAddrSlot = requires(const T &o) {
+    { o.dataAddrSlot() } -> std::same_as<uint32_t &>;
+};
 
 /** Fixed-point cycle units: 1/16 of a cycle. */
 constexpr uint64_t kCycleFp = 16;
@@ -321,11 +332,29 @@ class Core
     /** Translate a host pointer to its deterministic simulated address. */
     uint64_t dataAddr(const void *p) { return dataSpace.translate(p); }
 
-    /** Forget a host pointer whose memory is being freed (GC). */
-    void releaseDataAddr(const void *p) { dataSpace.release(p); }
+    /**
+     * A GC object's address comes from the slot in its header. A null
+     * pointer has no header and takes the map's route.
+     */
+    template <HasDataAddrSlot T>
+    uint64_t
+    dataAddr(const T *p)
+    {
+        return p ? dataSpace.translateSlot(p->dataAddrSlot())
+                 : dataSpace.translate(p);
+    }
 
     /** Select which counter bucket subsequent instructions charge. */
-    void setBucket(uint32_t b) { bucket = b < kMaxBuckets ? b : 0; }
+    void
+    setBucket(uint32_t b)
+    {
+        b = b < kMaxBuckets ? b : 0;
+        otherInstructions += buckets[bucket].instructions;
+        otherInstructions -= buckets[b].instructions;
+        otherCyclesFp += buckets[bucket].cyclesFp;
+        otherCyclesFp -= buckets[b].cyclesFp;
+        bucket = b;
+    }
     uint32_t currentBucket() const { return bucket; }
 
     void setAnnotSink(AnnotSink *s) { sink = s; }
@@ -362,9 +391,20 @@ class Core
     /** Sum of all buckets. */
     PerfCounters totalCounters() const;
 
-    uint64_t totalInstructions() const;
-    /** Exact whole-run cycle count in kCycleFp units (all buckets). */
-    uint64_t totalCyclesFp() const;
+    /** Instructions of all buckets; O(1) (budget checks call it often). */
+    uint64_t
+    totalInstructions() const
+    {
+        return otherInstructions + buckets[bucket].instructions;
+    }
+
+    /** Exact whole-run cycle count in kCycleFp units (all buckets); O(1). */
+    uint64_t
+    totalCyclesFp() const
+    {
+        return otherCyclesFp + buckets[bucket].cyclesFp;
+    }
+
     double totalCycles() const;
 
     /** Simulated wall-clock seconds at the configured frequency. */
@@ -429,6 +469,9 @@ class Core
     AnnotSink *sink = nullptr;
     uint32_t bucket = 0;
     std::array<PerfCounters, kMaxBuckets> buckets;
+    /** Sums over every bucket but the current one, kept by setBucket. */
+    uint64_t otherInstructions = 0;
+    uint64_t otherCyclesFp = 0;
     /** Cycle-sampler state; interval 0 = disarmed (hot-path gate). */
     CycleSampleSink *sampleSink_ = nullptr;
     uint64_t sampleIntervalFp_ = 0;

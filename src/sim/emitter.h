@@ -56,17 +56,21 @@ class BlockEmitter
      * Load from an arbitrary host pointer (the usual case). The pointer
      * is translated to a deterministic simulated address so cache
      * behaviour does not depend on where the host allocator placed the
-     * object (see sim::DataAddrSpace).
+     * object (see sim::DataAddrSpace). The pointer's static type picks
+     * the route: a GC object's address comes from its header, any
+     * other pointer goes through the map (Core::dataAddr).
      */
+    template <typename T>
     void
-    loadPtr(const void *p, uint8_t extra_lat = 0)
+    loadPtr(const T *p, uint8_t extra_lat = 0)
     {
         load(core_.dataAddr(p), extra_lat);
     }
 
     /** Load of a field at @p off bytes into the object behind @p p. */
+    template <typename T>
     void
-    loadPtrOff(const void *p, uint64_t off, uint8_t extra_lat = 0)
+    loadPtrOff(const T *p, uint64_t off, uint8_t extra_lat = 0)
     {
         load(core_.dataAddr(p) + off, extra_lat);
     }
@@ -81,11 +85,17 @@ class BlockEmitter
         core_.consume(i);
     }
 
-    void storePtr(const void *p) { store(core_.dataAddr(p)); }
+    template <typename T>
+    void
+    storePtr(const T *p)
+    {
+        store(core_.dataAddr(p));
+    }
 
     /** Store to a field at @p off bytes into the object behind @p p. */
+    template <typename T>
     void
-    storePtrOff(const void *p, uint64_t off)
+    storePtrOff(const T *p, uint64_t off)
     {
         store(core_.dataAddr(p) + off);
     }

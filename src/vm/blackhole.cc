@@ -24,6 +24,8 @@ allocByTypeId(obj::ObjSpace &space, uint32_t type_id)
         return heap.alloc<obj::W_Bool>(false);
       case obj::kTypeCell:
         return heap.alloc<obj::W_Cell>(nullptr);
+      case obj::kTypeRange:
+        return heap.alloc<obj::W_Range>(0, 0, 1);
       case obj::kTypeListIter:
         return heap.alloc<obj::W_ListIter>(nullptr);
       case obj::kTypeRangeIter:

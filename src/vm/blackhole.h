@@ -57,7 +57,23 @@ DeoptResult materializeState(obj::ObjSpace &space, const jit::Trace &trace,
                              const jit::Snapshot &snapshot,
                              const std::vector<jit::RtVal> &regs);
 
-/** Default-construct a W_ object of @p type_id for virtual rebuild. */
+/**
+ * Every type id allocByTypeId can build. The recorder may emit
+ * new_with_vtable only for these: a tier-1 trace executes the
+ * allocation through allocByTypeId, and deopt rebuilds a virtual the
+ * same way, then sets each recorded field with rtSetField.
+ */
+inline constexpr uint32_t kRebuildableTypes[] = {
+    obj::kTypeInt,         obj::kTypeFloat,     obj::kTypeBool,
+    obj::kTypeCell,        obj::kTypeRange,     obj::kTypeListIter,
+    obj::kTypeRangeIter,   obj::kTypeTupleIter, obj::kTypeStrIter,
+    obj::kTypeBoundMethod, obj::kTypeInstance,  obj::kTypePair,
+};
+
+/**
+ * Default-construct a W_ object of @p type_id (one of
+ * kRebuildableTypes) for a new_with_vtable or a virtual rebuild.
+ */
 obj::W_Object *allocByTypeId(obj::ObjSpace &space, uint32_t type_id);
 
 } // namespace vm

@@ -66,14 +66,6 @@ class GcPhaseHooks : public gc::GcHooks
         env_.core().setProfileContext(savedCtx);
     }
 
-    void
-    onObjectFree(const gc::GcObject *o) override
-    {
-        // Drop the simulated address so a recycled host allocation gets
-        // a fresh line instead of aliasing the dead object's.
-        env_.core().releaseDataAddr(o);
-    }
-
   private:
     obj::ExecEnv &env_;
     uint64_t sitePc = 0;

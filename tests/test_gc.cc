@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "gc/heap.h"
+#include "sim/core.h"
 
 namespace xlvm {
 namespace gc {
 namespace {
+
+// The header is vptr + type id + flags + data-address slot + alloc id.
+// Many object types report sizeof-based heapBytes(), which feeds GC
+// timing (the nursery watermark and promoted-byte costs), so a bigger
+// header would move modeled counters.
+static_assert(sizeof(GcObject) == 24, "GcObject header must stay 24 bytes");
 
 /** Test object: a node with up to two child references and a payload. */
 class Node : public GcObject
@@ -237,6 +245,52 @@ TEST_F(HeapTest, RemovedRootProviderNotScanned)
     EXPECT_EQ(Node::liveCount, 0);
     roots.pinned.clear();
     heap->addRootProvider(&roots); // restore for fixture teardown
+}
+
+/**
+ * Leaf object whose storage is one static buffer, so the allocation
+ * after a free lands at the same host address on any allocator
+ * (sanitizer quarantines included).
+ */
+class Recycled : public GcObject
+{
+  public:
+    static void *
+    operator new(size_t)
+    {
+        EXPECT_FALSE(inUse);
+        inUse = true;
+        return storage;
+    }
+    static void operator delete(void *) { inUse = false; }
+
+    void traceRefs(GcVisitor &) override {}
+    size_t heapBytes() const override { return sizeof(Recycled); }
+
+  private:
+    static inline bool inUse = false;
+    alignas(std::max_align_t) static inline unsigned char storage[64];
+};
+
+TEST(DataAddr, ObjectAtRecycledAddressGetsFreshLine)
+{
+    Heap heap;
+    sim::Core core;
+    Recycled *a = heap.alloc<Recycled>();
+    const uintptr_t hostA = reinterpret_cast<uintptr_t>(a);
+    const uint64_t lineA = core.dataAddr(a);
+    EXPECT_EQ(core.dataAddr(a), lineA); // stable while alive
+    heap.collect();                     // unrooted: freed by the minor
+    ASSERT_EQ(heap.stats().totalFreed, 1u);
+
+    Recycled *b = heap.alloc<Recycled>();
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(b), hostA);
+    // The slot left with the dead object: the newcomer draws the next
+    // line in first-access order instead of aliasing the old one.
+    EXPECT_EQ(core.dataAddr(b), lineA + sim::DataAddrSpace::kSlotBytes);
+    // Non-GC pointers share the same first-access numbering.
+    EXPECT_EQ(core.dataAddr(static_cast<const void *>(&heap)),
+              lineA + 2 * sim::DataAddrSpace::kSlotBytes);
 }
 
 } // namespace

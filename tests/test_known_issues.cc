@@ -16,10 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "driver/runner.h"
 #include "minipy/compiler.h"
 #include "minipy/interp.h"
+#include "minirkt/compiler.h"
+#include "vm/blackhole.h"
 #include "vm/context.h"
+#include "workloads/workloads.h"
 
 namespace xlvm {
 namespace {
@@ -123,6 +129,136 @@ TEST(KnownIssues, MatchedCallAssemblerExitFreesInnerState)
         }
     }
     EXPECT_GT(callerExecutions, 0u);
+}
+
+/**
+ * CLOSED — tier1 and multi aborted the process on a plain nested
+ * `range` loop ("cannot rebuild virtual of type range"): the `range()`
+ * builtin records `new_with_vtable(range)` plus three `setfield_gc`,
+ * and a deopt snapshot holding that virtual reached the blackhole,
+ * which had no way to allocate a W_Range or set its fields.
+ * allocByTypeId now rebuilds it and W_Range::rtSetField maps the
+ * recorded fields onto begin/end/step.
+ *
+ * The regression guard runs the repro with the JIT off and in all three
+ * tier modes at the default thresholds; every configuration must print
+ * the interpreter's answer.
+ */
+TEST(KnownIssues, NestedRangeLoopAgreesInAllTierModes)
+{
+    const char *src = "def inner(a, k):\n"
+                      "    s = 0\n"
+                      "    for j in range(k):\n"
+                      "        s = s + a * j\n"
+                      "    return s\n"
+                      "acc = 0\n"
+                      "for i in range(2000):\n"
+                      "    acc = acc + inner(i, 5)\n"
+                      "print(acc)\n";
+    auto run = [&](bool jit, vm::TierMode mode) {
+        vm::VmConfig cfg;
+        cfg.jit.enableJit = jit;
+        cfg.jit.tierMode = mode;
+        vm::VmContext ctx(cfg);
+        auto prog = minipy::compileSource(src, ctx.space);
+        minipy::Interp interp(ctx, *prog);
+        EXPECT_TRUE(interp.run());
+        return interp.output();
+    };
+    EXPECT_EQ(run(false, vm::TierMode::Tier2), "19990000\n");
+    for (vm::TierMode mode : {vm::TierMode::Tier2, vm::TierMode::Tier1,
+                              vm::TierMode::Multi})
+        EXPECT_EQ(run(true, mode), "19990000\n")
+            << "tier mode " << vm::tierModeName(mode);
+}
+
+/**
+ * Closes the class of the bug above. Every type id that reaches a
+ * compiled trace as a new_with_vtable (tier 1 runs the raw recording)
+ * or as a virtual (tier 2 sinks the allocation) must be one
+ * vm::kRebuildableTypes lists; test_vm's VirtualRebuild checks that
+ * each listed type is built by allocByTypeId with settable fields. The
+ * programs reach every new_with_vtable the recorders emit: boxed
+ * int/float/bool, range and its iterator, list/tuple/str iterators,
+ * bound methods, instances (MiniPy) and pairs (MiniRkt).
+ */
+TEST(KnownIssues, RecordedAllocationTypesAreRebuildable)
+{
+    const char *py = "class P:\n"
+                     "    def __init__(self, x):\n"
+                     "        self.x = x\n"
+                     "    def get(self):\n"
+                     "        return self.x\n"
+                     "def inner(a, k):\n"
+                     "    s = 0\n"
+                     "    for j in range(k):\n"
+                     "        s = s + a * j\n"
+                     "    return s\n"
+                     "acc = 0\n"
+                     "f = 0.0\n"
+                     "t = (1, 2)\n"
+                     "for i in range(300):\n"
+                     "    acc = acc + inner(i, 3)\n"
+                     "    for v in [i, 1]:\n"
+                     "        acc = acc + v\n"
+                     "    for v in t:\n"
+                     "        acc = acc + v\n"
+                     "    for c in 'ab':\n"
+                     "        acc = acc + len(c)\n"
+                     "    m = P(i).get\n"
+                     "    acc = acc + m()\n"
+                     "    f = f + 0.5\n"
+                     "    b = i < 150\n"
+                     "    if b:\n"
+                     "        acc = acc + 1\n"
+                     "print(acc)\n"
+                     "print(f)\n";
+    const workloads::Workload *trees = workloads::findWorkload("binarytrees");
+    ASSERT_NE(trees, nullptr);
+    workloads::Workload rkt = *trees;
+    rkt.source = rkt.rktSource;
+    const std::string rktSrc = workloads::instantiate(rkt, 4);
+
+    const std::set<uint32_t> rebuildable(std::begin(vm::kRebuildableTypes),
+                                         std::end(vm::kRebuildableTypes));
+    std::set<uint32_t> seen;
+    for (vm::TierMode mode : {vm::TierMode::Tier2, vm::TierMode::Tier1,
+                              vm::TierMode::Multi}) {
+        for (bool isRkt : {false, true}) {
+            vm::VmConfig cfg;
+            cfg.jit.tierMode = mode;
+            cfg.jit.loopThreshold = 3;
+            cfg.jit.bridgeThreshold = 2;
+            cfg.jit.tier1Threshold = 3;
+            cfg.jit.tier2Threshold = 5;
+            vm::VmContext ctx(cfg);
+            auto prog = isRkt ? minirkt::compileRkt(rktSrc, ctx.space)
+                              : minipy::compileSource(py, ctx.space);
+            minipy::Interp interp(ctx, *prog);
+            ASSERT_TRUE(interp.run()) << vm::tierModeName(mode);
+            for (const auto &t : ctx.registry.all()) {
+                if (!t)
+                    continue;
+                for (const jit::ResOp &op : t->ops) {
+                    if (op.op == jit::IrOp::NewWithVtable)
+                        seen.insert(op.aux);
+                }
+                for (const jit::VirtualObj &vo : t->virtuals)
+                    seen.insert(vo.typeId);
+            }
+        }
+    }
+    for (uint32_t tid : seen)
+        EXPECT_TRUE(rebuildable.count(tid))
+            << "recorded type " << obj::typeName(tid)
+            << " cannot be rebuilt";
+    // The programs must keep reaching the allocation sites this test is
+    // about; a silent drop would make the check above vacuous.
+    for (uint32_t tid : {obj::kTypeRange, obj::kTypeListIter,
+                         obj::kTypeBoundMethod, obj::kTypeInstance,
+                         obj::kTypePair, obj::kTypeFloat})
+        EXPECT_TRUE(seen.count(tid))
+            << "no trace allocated " << obj::typeName(tid);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "sim/branch_pred.h"
 #include "sim/cache.h"
@@ -66,6 +68,110 @@ TEST(Cache, AccessNMatchesRepeatedAccess)
         ASSERT_EQ(batched.hits(), looped.hits()) << "iteration " << it;
         ASSERT_EQ(batched.misses(), looped.misses()) << "iteration " << it;
     }
+}
+
+/**
+ * Naive LRU set-associative cache: one probe per access, a per-probe
+ * clock, no shortcuts. The reference Cache must match it exactly.
+ */
+class RefLru
+{
+  public:
+    RefLru(uint32_t sets, uint32_t ways)
+        : sets_(sets), ways_(ways), slots(sets * ways)
+    {
+    }
+
+    bool
+    probe(uint64_t line)
+    {
+        Slot *base = &slots[(line & (sets_ - 1)) * ways_];
+        ++clock;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (base[w].valid && base[w].line == line) {
+                base[w].lastUse = clock;
+                ++hits;
+                return true;
+            }
+        }
+        uint32_t victim = 0;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (!base[w].valid) {
+                victim = w;
+                break;
+            }
+            if (base[w].lastUse < base[victim].lastUse)
+                victim = w;
+        }
+        base[victim] = {line, clock, true};
+        ++misses;
+        return false;
+    }
+
+    void
+    reset()
+    {
+        *this = RefLru(sets_, ways_);
+    }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+
+  private:
+    struct Slot
+    {
+        uint64_t line = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+    };
+    uint32_t sets_, ways_;
+    std::vector<Slot> slots;
+    uint64_t clock = 0;
+};
+
+TEST(Cache, MatchesNaiveLruOnRandomStream)
+{
+    // Small geometry (4 sets x 4 ways) so set conflicts and evictions
+    // are frequent. The stream mixes same-line runs (the inline
+    // same-line hit), batched accessN(n > 1), lines that collide in one
+    // set, jumps across the address space, and full resets, which must
+    // also clear the same-line check.
+    CacheParams p;
+    p.sizeBytes = 1024;
+    p.lineBytes = 64;
+    p.ways = 4;
+    const uint32_t sets = p.sizeBytes / p.lineBytes / p.ways;
+    Cache c(p);
+    RefLru ref(sets, p.ways);
+    Rng rng(7);
+    uint64_t addr = 0;
+    uint64_t missesBeforeResets = 0;
+    for (int it = 0; it < 200000; ++it) {
+        uint64_t r = rng.nextBelow(100);
+        if (r < 40) {
+            addr += 4 * rng.nextBelow(4); // stay on or near the line
+        } else if (r < 70) {
+            // Another line of set 0: 6 candidates for 4 ways.
+            addr = rng.nextBelow(6) * sets * p.lineBytes + rng.nextBelow(64);
+        } else if (r < 99) {
+            addr = rng.nextBelow(64) * p.lineBytes + rng.nextBelow(64);
+        } else {
+            missesBeforeResets += c.misses();
+            c.reset();
+            ref.reset();
+        }
+        uint32_t n = rng.nextBelow(4) == 0 ? 1 + uint32_t(rng.nextBelow(9))
+                                           : 1;
+        bool got = c.accessN(addr, n);
+        uint64_t line = addr / p.lineBytes;
+        bool want = ref.probe(line);
+        for (uint32_t i = 1; i < n; ++i)
+            ref.probe(line);
+        ASSERT_EQ(got, want) << "access " << it;
+        ASSERT_EQ(c.hits(), ref.hits) << "access " << it;
+        ASSERT_EQ(c.misses(), ref.misses) << "access " << it;
+    }
+    EXPECT_GT(missesBeforeResets, 10000u);
 }
 
 TEST(Cache, FullResetRestoresColdState)
@@ -321,6 +427,50 @@ TEST(Core, DispatchLoopIndirectPredictability)
     double miss_random = random.totalCounters().branchMissRate();
     EXPECT_LT(miss_regular, 0.15);
     EXPECT_GT(miss_random, 0.5);
+}
+
+TEST(Core, TotalsEqualBucketSumsUnderRandomBucketSwitches)
+{
+    // totalInstructions()/totalCyclesFp() are kept incrementally by
+    // setBucket; they must equal the plain sum over buckets whatever the
+    // order of switches, charges and resets.
+    Core core;
+    Rng rng(11);
+    const InstClass classes[] = {InstClass::IntAlu, InstClass::Load,
+                                 InstClass::Store,  InstClass::Branch,
+                                 InstClass::IntDiv, InstClass::Annot};
+    auto check = [&](int it) {
+        uint64_t insts = 0, cycles = 0;
+        for (uint32_t b = 0; b < kMaxBuckets; ++b) {
+            insts += core.bucketCounters(b).instructions;
+            cycles += core.bucketCounters(b).cyclesFp;
+        }
+        ASSERT_EQ(core.totalInstructions(), insts) << "step " << it;
+        ASSERT_EQ(core.totalCyclesFp(), cycles) << "step " << it;
+        ASSERT_EQ(core.totalCounters().instructions, insts) << "step " << it;
+    };
+    for (int it = 0; it < 20000; ++it) {
+        uint64_t r = rng.nextBelow(100);
+        if (r < 20) {
+            // Out-of-range buckets fall back to bucket 0.
+            core.setBucket(uint32_t(rng.nextBelow(kMaxBuckets + 2)));
+        } else if (r < 60) {
+            Inst i;
+            i.cls = classes[rng.nextBelow(6)];
+            i.pc = 0x400000 + 4 * rng.nextBelow(256);
+            i.memAddr = 64 * rng.nextBelow(1024);
+            i.taken = rng.nextBelow(2) != 0;
+            core.consume(i);
+        } else if (r < 99) {
+            core.consumeStraight(InstClass::IntAlu,
+                                 0x400000 + 4 * rng.nextBelow(256),
+                                 uint32_t(rng.nextBelow(40)));
+        } else {
+            core.resetStats();
+        }
+        check(it);
+    }
+    EXPECT_GT(core.totalInstructions(), 0u);
 }
 
 TEST(PerfCounters, DerivedMetrics)
