@@ -164,7 +164,7 @@ bool isFusedMOp(MOp m);
 struct MicroOp
 {
     /** Dispatch handler; patched by the executor on first program entry
-     *  (computed-goto label address, or unused in switch fallback). */
+     *  (computed-goto label address). */
     const void *handler = nullptr;
     uint16_t opcode = 0; ///< MOp
     uint8_t argMask = 0; ///< bit i set when ResOp arg i was present

@@ -204,7 +204,7 @@ Interp::startBridgeTrace(uint32_t parent_trace, uint32_t guard_idx,
     ++tracesStarted;
 
     // Inputs: every slot of every frame from the bridge root to the top,
-    // matching TraceExecutor's flattenState order; slot shadows are the
+    // in vm::materializeInputs' bridge input order; slot shadows are the
     // input boxes.
     for (size_t d = root_depth; d < frames.size(); ++d) {
         Frame &bf = *frames[d];
@@ -684,7 +684,7 @@ Interp::maybeEnterCompiledTrace(Frame &f)
 
     size_t rootDepth = frames.size() - 1;
     uint64_t itersBefore = ctx.executor.iterationCount();
-    vm::DeoptResult res = ctx.executor.run(*t, std::move(inputs));
+    vm::DeoptResult res = ctx.executor.run(*t, inputs);
     noteTraceProgress(t, ctx.executor.iterationCount() - itersBefore);
     applyDeopt(res, rootDepth);
 
@@ -764,7 +764,7 @@ Interp::maybeCallAssembler(Frame &f)
         inputs.push_back(jit::RtVal::fromRef(w));
 
     size_t depthBefore = frames.size() - 1;
-    vm::DeoptResult res = ctx.executor.run(*t, std::move(inputs));
+    vm::DeoptResult res = ctx.executor.run(*t, inputs);
     ctx.executor.hotGuards.clear(); // no bridges while tracing
 
     if (res.frames.size() != 1 ||

@@ -4,6 +4,8 @@
  *
  * Conditional branches use a gshare predictor; indirect jumps/calls use a
  * tagged BTB indexed with history; returns use a return-address stack.
+ * sim::Core owns one of each and routes every control instruction to its
+ * predictor from the instruction's own typed entry point.
  * Interpreter dispatch loops emit genuine IndirectJump instructions whose
  * targets are the real handler PCs, so dispatch (un)predictability is an
  * emergent property of the bytecode stream, as in the paper's discussion
@@ -17,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/inst.h"
 
 namespace xlvm {
 namespace sim {
@@ -33,6 +34,16 @@ struct BranchPredParams
     bool useHistoryForBtb = true; ///< hash history into BTB index
 };
 
+/** Cheap 64->32 mixing for table indices. */
+inline uint32_t
+predictorMix(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 29;
+    return static_cast<uint32_t>(x);
+}
+
 /** gshare conditional-branch predictor. */
 class GsharePredictor
 {
@@ -40,7 +51,19 @@ class GsharePredictor
     explicit GsharePredictor(const BranchPredParams &p);
 
     /** Predict + update; returns true if the prediction was correct. */
-    bool predictAndUpdate(uint64_t pc, bool taken);
+    bool
+    predictAndUpdate(uint64_t pc, bool taken)
+    {
+        uint32_t idx = (predictorMix(pc >> 2) ^ ghr) & indexMask;
+        uint8_t &ctr = pht[idx];
+        bool pred = ctr >= 2;
+        if (taken && ctr < 3)
+            ++ctr;
+        else if (!taken && ctr > 0)
+            --ctr;
+        ghr = ((ghr << 1) | (taken ? 1 : 0)) & historyMask;
+        return pred == taken;
+    }
 
     uint32_t history() const { return ghr; }
 
@@ -110,30 +133,6 @@ class ReturnStack
     std::vector<uint64_t> stack;
     size_t top = 0;   ///< number of valid entries (clamped to depth)
     size_t depth;
-};
-
-/**
- * Front-end predictor bundle: routes each control instruction to the
- * right sub-predictor and reports mispredictions.
- */
-class BranchUnit
-{
-  public:
-    explicit BranchUnit(const BranchPredParams &p = BranchPredParams());
-
-    /**
-     * Process one control-flow instruction.
-     * @return true if it was mispredicted.
-     */
-    bool process(const Inst &inst);
-
-    /** Forget all learned state (history, PHT, BTB, RAS). */
-    void reset();
-
-  private:
-    GsharePredictor gshare;
-    IndirectPredictor indirect;
-    ReturnStack ras;
 };
 
 } // namespace sim

@@ -22,6 +22,8 @@ log2u(uint32_t x)
 
 Cache::Cache(const CacheParams &p)
 {
+    XLVM_ASSERT(p.lineBytes && (p.lineBytes & (p.lineBytes - 1)) == 0,
+                "line size must be a power of 2");
     numWays = p.ways;
     uint32_t lines = p.sizeBytes / p.lineBytes;
     XLVM_ASSERT(lines % p.ways == 0, "cache geometry mismatch");

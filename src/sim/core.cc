@@ -8,7 +8,9 @@ namespace sim {
 Core::Core(const CoreParams &p)
     : params(p),
       issueCostFp(kCycleFp / p.issueWidth),
-      branchUnit(p.branchPred),
+      gshare(p.branchPred),
+      btb(p.branchPred),
+      ras(p.branchPred),
       icache(p.icache),
       dcache(p.dcache)
 {
@@ -81,7 +83,9 @@ Core::resetStats()
     otherInstructions = otherCyclesFp = 0;
     icache.reset();
     dcache.reset();
-    branchUnit.reset();
+    gshare.reset();
+    btb.reset();
+    ras.reset();
 }
 
 } // namespace sim

@@ -2,14 +2,23 @@
  * @file
  * The modeled processor core.
  *
- * Core consumes the dynamic instruction stream emitted by the VM layers
- * and plays the role of the paper's real hardware: it drives the branch
+ * xlvm is execution-driven: every layer of the modeled VM stack (reference
+ * interpreter, RPython-style translated interpreter, meta-interpreter,
+ * JIT-compiled traces, AOT runtime functions, the garbage collector)
+ * emits its dynamic instruction stream into Core through BlockEmitter
+ * (sim/emitter.h), one typed entry point per instruction class. Core
+ * plays the role of the paper's real hardware: it drives the branch
  * predictors and L1 caches, charges cycles with a simple issue-width +
  * penalty model, and maintains per-bucket performance counters. Buckets
  * correspond to the paper's execution phases (interpreter / tracing / JIT
  * / JIT-call / GC / blackhole); the instrumentation layer switches the
  * active bucket when it intercepts phase annotations, which is exactly how
  * the paper's PinTool + PAPI combination attributes counters to phases.
+ *
+ * annot() is the cross-layer annotation instruction, the analog of the
+ * paper's tagged x86 `nop`: it does not change "program" behaviour but is
+ * observed by the instrumentation layer (xlayer::AnnotationBus), exactly
+ * like the paper's PinTool observing nops.
  */
 
 #ifndef XLVM_SIM_CORE_H
@@ -23,7 +32,6 @@
 #include "sim/addr_map.h"
 #include "sim/branch_pred.h"
 #include "sim/cache.h"
-#include "sim/inst.h"
 
 namespace xlvm {
 namespace sim {
@@ -40,6 +48,13 @@ concept HasDataAddrSlot = requires(const T &o) {
 
 /** Fixed-point cycle units: 1/16 of a cycle. */
 constexpr uint64_t kCycleFp = 16;
+
+/** Execute cycles beyond the issue slot, per instruction class. */
+constexpr uint64_t kMulCostFp = 2 * kCycleFp;
+constexpr uint64_t kDivCostFp = 18 * kCycleFp;
+constexpr uint64_t kFpAluCostFp = 1 * kCycleFp;
+constexpr uint64_t kFpMulCostFp = 2 * kCycleFp;
+constexpr uint64_t kFpDivCostFp = 12 * kCycleFp;
 
 struct CoreParams
 {
@@ -209,124 +224,156 @@ class Core
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
 
-    /** Consume one dynamic instruction (hot path). */
+    // ---- typed entry points (hot path) ------------------------------
+    //
+    // One entry per instruction class, each called by its BlockEmitter
+    // method with the instruction's pc. load() through single() fetch
+    // one instruction through fetch() and charge it through retire();
+    // consumeStraight() batches its fetches per icache line, and annot()
+    // fetches nothing. Control entries go straight to their predictor.
+
+    /** Memory read of @p addr with @p extra_lat dependence stalls. */
     void
-    consume(const Inst &inst)
+    load(uint64_t pc, uint64_t addr, uint8_t extra_lat = 0)
     {
-        PerfCounters &pc = buckets[bucket];
-
-        if (inst.cls == InstClass::Annot) {
-            // Annotations are metadata: by default they do not perturb
-            // the counters they are used to collect (see annotCostFp).
-            ++pc.annotations;
-            pc.cyclesFp += params.annotCostFp;
-            if (sampleIntervalFp_ != 0)
-                sampleTick(params.annotCostFp, inst.pc);
-            if (sink)
-                sink->onAnnot(annotTag(inst.target),
-                              annotPayload(inst.target));
-            return;
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc) + uint64_t(extra_lat) * kCycleFp;
+        ++c.loads;
+        if (!dcache.access(addr)) {
+            ++c.dcacheMisses;
+            cost += params.dcacheMissPenalty * kCycleFp;
         }
+        retire(c, cost, pc);
+    }
 
-        ++pc.instructions;
-        uint64_t cost = issueCostFp;
+    /** Memory write of @p addr (write-allocate; latency hidden). */
+    void
+    store(uint64_t pc, uint64_t addr)
+    {
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc);
+        ++c.stores;
+        if (!dcache.access(addr))
+            ++c.dcacheMisses;
+        retire(c, cost, pc);
+    }
 
-        if (!icache.access(inst.pc)) {
-            ++pc.icacheMisses;
-            cost += params.icacheMissPenalty * kCycleFp;
-        }
-        cost += uint64_t(inst.extraLat) * kCycleFp;
+    /** Conditional direct branch (gshare). */
+    void
+    branch(uint64_t pc, bool taken)
+    {
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc);
+        ++c.branches;
+        ++c.condBranches;
+        if (!gshare.predictAndUpdate(pc, taken))
+            mispredict(c, cost);
+        retire(c, cost, pc);
+    }
 
-        // Plain ALU ops dominate every instruction mix; retire them
-        // without touching the class switch or the control-flow checks.
-        if (inst.cls == InstClass::IntAlu || inst.cls == InstClass::Nop) {
-            pc.cyclesFp += cost;
-            if (sampleIntervalFp_ != 0)
-                sampleTick(cost, inst.pc);
-            return;
-        }
+    /** Unconditional direct jump: always predicted once decoded. */
+    void
+    jump(uint64_t pc)
+    {
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc);
+        ++c.branches;
+        retire(c, cost, pc);
+    }
 
-        switch (inst.cls) {
-          case InstClass::Load:
-            ++pc.loads;
-            if (!dcache.access(inst.memAddr)) {
-                ++pc.dcacheMisses;
-                cost += params.dcacheMissPenalty * kCycleFp;
-            }
-            break;
-          case InstClass::Store:
-            ++pc.stores;
-            if (!dcache.access(inst.memAddr))
-                ++pc.dcacheMisses; // write-allocate; latency hidden
-            break;
-          case InstClass::IntMul:
-            cost += 2 * kCycleFp;
-            break;
-          case InstClass::IntDiv:
-            cost += 18 * kCycleFp;
-            break;
-          case InstClass::FpAlu:
-            cost += 1 * kCycleFp;
-            break;
-          case InstClass::FpMul:
-            cost += 2 * kCycleFp;
-            break;
-          case InstClass::FpDiv:
-            cost += 12 * kCycleFp;
-            break;
-          default:
-            break;
-        }
+    /** Direct call: pushes its return address on the RAS. */
+    void
+    call(uint64_t pc)
+    {
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc);
+        ++c.branches;
+        ras.pushCall(pc + 4);
+        retire(c, cost, pc);
+    }
 
-        if (isControl(inst.cls)) {
-            ++pc.branches;
-            if (inst.cls == InstClass::Branch)
-                ++pc.condBranches;
-            if (branchUnit.process(inst)) {
-                ++pc.mispredicts;
-                cost += params.mispredictPenalty * kCycleFp;
-            }
-        }
+    /** Computed jump, or call when @p is_call, to @p target (BTB). */
+    void
+    indirect(uint64_t pc, uint64_t target, bool is_call)
+    {
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc);
+        ++c.branches;
+        if (is_call)
+            ras.pushCall(pc + 4);
+        if (!btb.predictAndUpdate(pc, target, gshare.history()))
+            mispredict(c, cost);
+        retire(c, cost, pc);
+    }
 
-        pc.cyclesFp += cost;
-        if (sampleIntervalFp_ != 0)
-            sampleTick(cost, inst.pc);
+    /** Return to @p return_pc, checked against the RAS prediction. */
+    void
+    ret(uint64_t pc, uint64_t return_pc)
+    {
+        PerfCounters &c = buckets[bucket];
+        uint64_t cost = fetch(c, pc);
+        ++c.branches;
+        if (!ras.predictReturn(return_pc))
+            mispredict(c, cost);
+        retire(c, cost, pc);
     }
 
     /**
-     * Consume @p n consecutive instructions of one arithmetic class
-     * starting at @p start_pc (4-byte spacing). Counters and cache/LRU
-     * state are bit-identical to emitting the instructions one by one;
-     * the per-instruction call and icache probes are amortized by
-     * batching same-line fetches through Cache::accessN. @p cls must be
-     * a non-memory, non-control class.
+     * One non-memory, non-control instruction (mul, div, fp, nop) with
+     * @p extra_fp execute cycles beyond its issue slot (a k*CostFp).
      */
     void
-    consumeStraight(InstClass cls, uint64_t start_pc, uint32_t n,
-                    uint8_t extra_lat = 0)
+    single(uint64_t pc, uint64_t extra_fp)
+    {
+        PerfCounters &c = buckets[bucket];
+        retire(c, fetch(c, pc) + extra_fp, pc);
+    }
+
+    /**
+     * Cross-layer annotation: metadata, not a retired instruction. It is
+     * not fetched and charges only annotCostFp (0 by default), so it does
+     * not perturb the counters it is used to collect.
+     */
+    void
+    annot(uint64_t pc, uint32_t tag, uint32_t payload)
+    {
+        PerfCounters &c = buckets[bucket];
+        ++c.annotations;
+        c.cyclesFp += params.annotCostFp;
+        if (sampleIntervalFp_ != 0)
+            sampleTick(params.annotCostFp, pc);
+        if (sink)
+            sink->onAnnot(tag, payload);
+    }
+
+    /**
+     * Consume @p n consecutive non-memory, non-control instructions
+     * starting at @p start_pc (4-byte spacing), each with @p extra_fp
+     * execute cycles beyond its issue slot. Counters and cache/LRU state
+     * are bit-identical to emitting them one by one through single(); the
+     * icache probes are batched per line through Cache::accessN.
+     */
+    void
+    consumeStraight(uint64_t start_pc, uint32_t n, uint64_t extra_fp = 0)
     {
         if (n == 0)
             return;
-        PerfCounters &pc = buckets[bucket];
-        pc.instructions += n;
-        uint64_t cost =
-            uint64_t(n) * (issueCostFp + uint64_t(extra_lat) * kCycleFp +
-                           classCostFp(cls));
-        const uint64_t lineBytes = icache.lineBytes();
+        PerfCounters &c = buckets[bucket];
+        c.instructions += n;
+        uint64_t cost = uint64_t(n) * (issueCostFp + extra_fp);
+        const uint64_t lineMask = icache.lineBytes() - 1;
         uint64_t p = start_pc;
-        uint64_t end = start_pc + 4ull * n;
+        const uint64_t end = start_pc + 4ull * n;
         while (p < end) {
-            uint64_t lineEnd = (p / lineBytes + 1) * lineBytes;
-            uint32_t k = uint32_t((std::min(lineEnd, end) - p) / 4);
+            const uint64_t lineEnd = (p | lineMask) + 1;
+            const uint32_t k = uint32_t((std::min(lineEnd, end) - p) / 4);
             if (!icache.accessN(p, k)) {
-                ++pc.icacheMisses;
+                ++c.icacheMisses;
                 cost += params.icacheMissPenalty * kCycleFp;
             }
             p += 4ull * k;
         }
-        pc.cyclesFp += cost;
-        if (sampleIntervalFp_ != 0)
-            sampleTick(cost, start_pc);
+        retire(c, cost, start_pc);
     }
 
     /** Translate a host pointer to its deterministic simulated address. */
@@ -413,7 +460,7 @@ class Core
     /**
      * Reset every stat source to its freshly constructed state: counter
      * buckets, both caches (counters, contents, and LRU clocks), and the
-     * branch unit's learned state. Replaying an identical instruction
+     * predictors' learned state (gshare, BTB, RAS). Replaying an identical instruction
      * stream after resetStats() yields bit-identical counters. The data
      * address map survives — it is an address-space property, not a
      * statistic.
@@ -441,28 +488,44 @@ class Core
     /** Out-of-line sample delivery loop (rare). */
     void sampleFire(uint64_t pc);
 
-    /** Fixed extra cycles of a non-memory, non-control class, in fp units. */
-    static uint64_t
-    classCostFp(InstClass cls)
+    /**
+     * Fetch stage shared by every retired instruction: count it in @p c
+     * and probe the icache at @p pc. Returns the instruction's issue
+     * cost plus any icache-miss penalty.
+     */
+    uint64_t
+    fetch(PerfCounters &c, uint64_t pc)
     {
-        switch (cls) {
-          case InstClass::IntMul:
-          case InstClass::FpMul:
-            return 2 * kCycleFp;
-          case InstClass::IntDiv:
-            return 18 * kCycleFp;
-          case InstClass::FpAlu:
-            return 1 * kCycleFp;
-          case InstClass::FpDiv:
-            return 12 * kCycleFp;
-          default:
-            return 0;
+        ++c.instructions;
+        uint64_t cost = issueCostFp;
+        if (!icache.access(pc)) {
+            ++c.icacheMisses;
+            cost += params.icacheMissPenalty * kCycleFp;
         }
+        return cost;
+    }
+
+    void
+    mispredict(PerfCounters &c, uint64_t &cost)
+    {
+        ++c.mispredicts;
+        cost += params.mispredictPenalty * kCycleFp;
+    }
+
+    /** Retire stage: charge @p cost and advance the sample clock. */
+    void
+    retire(PerfCounters &c, uint64_t cost, uint64_t pc)
+    {
+        c.cyclesFp += cost;
+        if (sampleIntervalFp_ != 0)
+            sampleTick(cost, pc);
     }
 
     CoreParams params;
     uint64_t issueCostFp;
-    BranchUnit branchUnit;
+    GsharePredictor gshare;
+    IndirectPredictor btb;
+    ReturnStack ras;
     Cache icache;
     Cache dcache;
     DataAddrSpace dataSpace;

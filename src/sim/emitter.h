@@ -1,11 +1,15 @@
 /**
  * @file
- * Instruction-stream emission helper.
+ * Instruction-stream emission helper: the synthetic target ISA.
  *
- * A BlockEmitter walks a pre-allocated code region and feeds instruction
- * records into the core. Re-executing the same handler re-emits the same
- * PCs, so predictors and the I-cache see repeated code exactly as
- * hardware would.
+ * A BlockEmitter walks a pre-allocated code region and feeds each
+ * instruction straight into the core's entry point for its class (there
+ * is no intermediate instruction record). Re-executing the same handler
+ * re-emits the same PCs, so predictors and the I-cache see repeated code
+ * exactly as hardware would.
+ *
+ * annot() emits the cross-layer annotation instruction: the analog of the
+ * paper's tagged x86 `nop` (see Core::annot).
  */
 
 #ifndef XLVM_SIM_EMITTER_H
@@ -14,7 +18,6 @@
 #include <cstdint>
 
 #include "sim/core.h"
-#include "sim/inst.h"
 
 namespace xlvm {
 namespace sim {
@@ -29,27 +32,23 @@ class BlockEmitter
 
     uint64_t pc() const { return pc_; }
 
+    /** @p n integer add/sub/logic/compare/lea instructions. */
     void
     alu(uint32_t n = 1, uint8_t extra_lat = 0)
     {
-        straight(InstClass::IntAlu, n, extra_lat);
+        straight(n, uint64_t(extra_lat) * kCycleFp);
     }
 
-    void mul() { emit(InstClass::IntMul); }
-    void div() { emit(InstClass::IntDiv); }
-    void fpAlu(uint32_t n = 1) { straight(InstClass::FpAlu, n); }
-    void fpMul() { emit(InstClass::FpMul); }
-    void fpDiv() { emit(InstClass::FpDiv); }
+    void mul() { core_.single(step(), kMulCostFp); }
+    void div() { core_.single(step(), kDivCostFp); }
+    void fpAlu(uint32_t n = 1) { straight(n, kFpAluCostFp); }
+    void fpMul() { core_.single(step(), kFpMulCostFp); }
+    void fpDiv() { core_.single(step(), kFpDivCostFp); }
 
     void
     load(uint64_t addr, uint8_t extra_lat = 0)
     {
-        Inst i;
-        i.cls = InstClass::Load;
-        i.pc = step();
-        i.memAddr = addr;
-        i.extraLat = extra_lat;
-        core_.consume(i);
+        core_.load(step(), addr, extra_lat);
     }
 
     /**
@@ -75,15 +74,7 @@ class BlockEmitter
         load(core_.dataAddr(p) + off, extra_lat);
     }
 
-    void
-    store(uint64_t addr)
-    {
-        Inst i;
-        i.cls = InstClass::Store;
-        i.pc = step();
-        i.memAddr = addr;
-        core_.consume(i);
-    }
+    void store(uint64_t addr) { core_.store(step(), addr); }
 
     template <typename T>
     void
@@ -100,86 +91,46 @@ class BlockEmitter
         store(core_.dataAddr(p) + off);
     }
 
-    void
-    branch(bool taken)
-    {
-        Inst i;
-        i.cls = InstClass::Branch;
-        i.pc = step();
-        i.taken = taken;
-        core_.consume(i);
-    }
+    void branch(bool taken) { core_.branch(step(), taken); }
 
-    void
-    jump(uint64_t target)
-    {
-        Inst i;
-        i.cls = InstClass::Jump;
-        i.pc = step();
-        i.target = target;
-        core_.consume(i);
-    }
+    /** Direct jump; a direct target never affects the modeled state. */
+    void jump(uint64_t /*target*/) { core_.jump(step()); }
 
+    /** Computed jump (interpreter dispatch, jump tables). */
     void
     indirectJump(uint64_t target)
     {
-        Inst i;
-        i.cls = InstClass::IndirectJump;
-        i.pc = step();
-        i.target = target;
-        core_.consume(i);
+        core_.indirect(step(), target, false);
     }
 
-    void
-    call(uint64_t target)
-    {
-        Inst i;
-        i.cls = InstClass::Call;
-        i.pc = step();
-        i.target = target;
-        core_.consume(i);
-    }
+    /** Direct call; a direct target never affects the modeled state. */
+    void call(uint64_t /*target*/) { core_.call(step()); }
 
+    /** Computed call (vtables, function pointers). */
     void
     indirectCall(uint64_t target)
     {
-        Inst i;
-        i.cls = InstClass::IndirectCall;
-        i.pc = step();
-        i.target = target;
-        core_.consume(i);
+        core_.indirect(step(), target, true);
     }
 
     /** @param return_pc actual return address (RAS correctness check). */
-    void
-    ret(uint64_t return_pc)
-    {
-        Inst i;
-        i.cls = InstClass::Ret;
-        i.pc = step();
-        i.target = return_pc;
-        core_.consume(i);
-    }
+    void ret(uint64_t return_pc) { core_.ret(step(), return_pc); }
 
-    void nop() { emit(InstClass::Nop); }
+    void nop() { core_.single(step(), 0); }
 
     /** Emit a cross-layer annotation (the tagged-nop analog). */
     void
     annot(uint32_t tag, uint32_t payload = 0)
     {
-        Inst i;
-        i.cls = InstClass::Annot;
-        i.pc = step();
-        i.target = encodeAnnot(tag, payload);
-        core_.consume(i);
+        core_.annot(step(), tag, payload);
     }
 
   private:
     /** Batched straight-line emission (amortizes per-inst call cost). */
     void
-    straight(InstClass cls, uint32_t n, uint8_t extra_lat = 0)
+    straight(uint32_t n, uint64_t extra_fp)
     {
-        core_.consumeStraight(cls, pc_, n, extra_lat);
+        core_.consumeStraight(pc_, n, extra_fp);
         pc_ += 4ull * n;
     }
 
@@ -189,16 +140,6 @@ class BlockEmitter
         uint64_t p = pc_;
         pc_ += 4;
         return p;
-    }
-
-    void
-    emit(InstClass cls, uint8_t extra_lat = 0)
-    {
-        Inst i;
-        i.cls = cls;
-        i.pc = step();
-        i.extraLat = extra_lat;
-        core_.consume(i);
     }
 
     Core &core_;

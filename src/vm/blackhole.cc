@@ -1,7 +1,5 @@
 #include "vm/blackhole.h"
 
-#include <unordered_map>
-
 #include "jit/opt.h"
 #include "xlayer/annot.h"
 
@@ -51,10 +49,14 @@ namespace {
 class Materializer
 {
   public:
+    /** @p memo is the caller's buffer, reset here: virtual index ->
+     *  its materialized object, null until built. */
     Materializer(obj::ObjSpace &space, const jit::Trace &trace,
-                 const std::vector<RtVal> &regs)
-        : space_(space), trace_(trace), regs_(regs)
+                 const std::vector<RtVal> &regs,
+                 std::vector<W_Object *> &memo)
+        : space_(space), trace_(trace), regs_(regs), memo_(memo)
     {
+        memo_.assign(trace.virtuals.size(), nullptr);
     }
 
     W_Object *
@@ -97,12 +99,11 @@ class Materializer
     W_Object *
     materializeVirtual(int32_t vidx)
     {
-        auto it = memo.find(vidx);
-        if (it != memo.end())
-            return it->second;
+        if (W_Object *done = memo_[vidx])
+            return done;
         const jit::VirtualObj &vo = trace_.virtuals[vidx];
         W_Object *w = allocByTypeId(space_, vo.typeId);
-        memo[vidx] = w; // before fields: cycles terminate
+        memo_[vidx] = w; // before fields: cycles terminate
         for (uint32_t f = 0; f < vo.fieldRefs.size(); ++f) {
             if (vo.fieldRefs[f] == jit::kNoArg)
                 continue;
@@ -119,7 +120,7 @@ class Materializer
     obj::ObjSpace &space_;
     const jit::Trace &trace_;
     const std::vector<RtVal> &regs_;
-    std::unordered_map<int32_t, W_Object *> memo;
+    std::vector<W_Object *> &memo_;
     uint64_t materialized_ = 0;
 };
 
@@ -130,7 +131,8 @@ materializeState(obj::ObjSpace &space, const jit::Trace &trace,
                  const jit::Snapshot &snapshot,
                  const std::vector<RtVal> &regs)
 {
-    Materializer mat(space, trace, regs);
+    std::vector<W_Object *> memo;
+    Materializer mat(space, trace, regs, memo);
     DeoptResult out;
     out.traceId = trace.id;
     for (const jit::FrameSnapshot &f : snapshot.frames) {
@@ -148,6 +150,23 @@ materializeState(obj::ObjSpace &space, const jit::Trace &trace,
     return out;
 }
 
+void
+materializeInputs(obj::ObjSpace &space, const jit::Trace &trace,
+                  const jit::Snapshot &snapshot,
+                  const std::vector<RtVal> &regs, TransferBuffers &buf)
+{
+    Materializer mat(space, trace, regs, buf.memo);
+    buf.inputs.clear();
+    // The order of materializeState: each resolveRef may box (allocate),
+    // so the order fixes allocSeq and the GC's view of the heap.
+    for (const jit::FrameSnapshot &f : snapshot.frames) {
+        for (int32_t r : f.locals)
+            buf.inputs.push_back(RtVal::fromRef(mat.resolveRef(r)));
+        for (int32_t r : f.stack)
+            buf.inputs.push_back(RtVal::fromRef(mat.resolveRef(r)));
+    }
+}
+
 DeoptResult
 blackholeMaterialize(obj::ObjSpace &space, const jit::Trace &trace,
                      const jit::Snapshot &snapshot,
@@ -163,7 +182,8 @@ blackholeMaterialize(obj::ObjSpace &space, const jit::Trace &trace,
     sim::BlockEmitter e(env.core(), site);
     e.annot(xlayer::kPhaseEnter, uint32_t(xlayer::Phase::Blackhole));
 
-    Materializer mat(space, trace, regs);
+    std::vector<W_Object *> memo;
+    Materializer mat(space, trace, regs, memo);
     DeoptResult out;
     out.traceId = trace.id;
     out.guardOpIdx = guard_op_idx;

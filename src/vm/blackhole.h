@@ -49,13 +49,37 @@ DeoptResult blackholeMaterialize(obj::ObjSpace &space,
                                  uint32_t guard_op_idx);
 
 /**
- * State reconstruction without blackhole cost accounting — used when a
- * guard exit transfers to a bridge (the forced allocations live in the
- * bridge's own code, so the cost stays in the JIT phase).
+ * State reconstruction without blackhole cost accounting. call_assembler
+ * rebuilds the outer frames of an unexpected inner exit with it; the
+ * guard→bridge transfer uses its allocation-free twin materializeInputs
+ * (the forced allocations live in the bridge's own code, so the cost
+ * stays in the JIT phase).
  */
 DeoptResult materializeState(obj::ObjSpace &space, const jit::Trace &trace,
                              const jit::Snapshot &snapshot,
                              const std::vector<jit::RtVal> &regs);
+
+/** Host buffers a guard→bridge transfer reuses from one to the next. */
+struct TransferBuffers
+{
+    /** The bridge's inputs: every snapshot slot, as a ref. */
+    std::vector<jit::RtVal> inputs;
+    /** Virtual index -> its materialized object (materialization memo). */
+    std::vector<obj::W_Object *> memo;
+};
+
+/**
+ * Guard→bridge transfer: resolve @p snapshot's slots straight into
+ * @p buf.inputs in the bridge input order (frames outer to inner, locals
+ * then stack), without blackhole cost. Slot for slot and allocation for
+ * allocation it equals reading materializeState's frames in that order,
+ * but builds no DeoptResult and, once @p buf has grown, allocates no
+ * host memory.
+ */
+void materializeInputs(obj::ObjSpace &space, const jit::Trace &trace,
+                       const jit::Snapshot &snapshot,
+                       const std::vector<jit::RtVal> &regs,
+                       TransferBuffers &buf);
 
 /**
  * Every type id allocByTypeId can build. The recorder may emit

@@ -4,11 +4,12 @@
  *
  * TraceExecutor::run dispatches over the micro-op program the backend
  * lowered at compile time (jit/lower.h): handlers are reached through a
- * computed-goto label table (function-less threaded dispatch; a switch
- * loop is the portable fallback), operands are direct register-file
- * indices (constants were materialized into the file's tail at trace
- * entry), and per-op simulation metadata (code offsets, IR-node ids,
- * guard indices) is read inline from the micro-op.
+ * computed-goto label table (function-less threaded dispatch; computed
+ * goto is a GCC/Clang extension, and the build already requires one of
+ * the two), operands are direct register-file indices (constants were
+ * materialized into the file's tail at trace entry), and per-op
+ * simulation metadata (code offsets, IR-node ids, guard indices) is read
+ * inline from the micro-op.
  *
  * Counters-are-invariant contract: every handler emits exactly the
  * simulated instruction sequence (same PCs, same order) that the
@@ -72,33 +73,10 @@ asObj(const RtVal &v)
     return static_cast<W_Object *>(v.r);
 }
 
-/** Flatten a deopt state's slots into trace-input values (bridge ABI). */
-std::vector<RtVal>
-flattenState(const DeoptResult &state)
-{
-    std::vector<RtVal> out;
-    for (const FrameState &f : state.frames) {
-        for (W_Object *w : f.locals)
-            out.push_back(RtVal::fromRef(w));
-        for (W_Object *w : f.stack)
-            out.push_back(RtVal::fromRef(w));
-    }
-    return out;
-}
-
 } // namespace
 
-// Threaded dispatch: computed goto under GCC/Clang, switch fallback
-// elsewhere (or with -DXLVM_NO_COMPUTED_GOTO for A/B comparison).
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(XLVM_NO_COMPUTED_GOTO)
-#define XLVM_CGOTO 1
-#else
-#define XLVM_CGOTO 0
-#endif
-
 DeoptResult
-TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
+TraceExecutor::run(Trace &trace, const std::vector<RtVal> &inputs)
 {
     obj::ExecEnv &env = space.env();
     sim::Core &core = env.core();
@@ -113,12 +91,12 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     uint64_t codePc = 0;
     std::vector<RtVal> regs;
     RtVal *R = nullptr;
-    std::vector<RtVal> scratch; ///< self-jump staging (reads then writes)
+    std::vector<RtVal> scratch; ///< jump staging (reads, then writes)
+    TransferBuffers xfer;       ///< guard→bridge inputs and virtual memo
     bool pendingOverflow = false;
     uint64_t steps = 0;
     DeoptResult deoptOut;
 
-#if XLVM_CGOTO
     // Handler addresses, filled by explicit micro-opcode index so the
     // mapping cannot drift from the MOp enum order. Label addresses are
     // function-local, hence the table is built here and cached into each
@@ -210,18 +188,13 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     XLVM_LBL(Unimpl);
     XLVM_LBL(TrapEnd);
 #undef XLVM_LBL
-#endif // XLVM_CGOTO
 
     auto resolveHandlers = [&](MicroProgram &p) {
-#if XLVM_CGOTO
         if (p.resolved)
             return;
         for (MicroOp &m : p.ops)
             m.handler = labels[m.opcode];
         p.resolved = true;
-#else
-        (void)p;
-#endif
     };
 
     // Per-tier cycle attribution: close the interval running since the
@@ -239,7 +212,8 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     // leave (nested run()s save/restore recursively through this local).
     const uint64_t prevCtx = core.profileContext();
 
-    auto enterTrace = [&](Trace *target, std::vector<RtVal> &&in) {
+    // @p in must not alias regs: regs is reassigned before the copy.
+    auto enterTrace = [&](Trace *target, const std::vector<RtVal> &in) {
         if (target->tier != curTier)
             tierFlush(target->tier);
         core.setProfileContext(sim::sampleCtxPack(
@@ -272,7 +246,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
         e.annot(xlayer::kTraceEnter, trace.id);
         e.annot(xlayer::kPhaseEnter, uint32_t(xlayer::Phase::Jit));
     }
-    enterTrace(&trace, std::move(inputs));
+    enterTrace(&trace, inputs);
     active.push_back(Level{t, &regs});
 
     // Latency metering anchors: trace entry here, each back-edge, and
@@ -336,15 +310,14 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
         if (gs.bridgeTraceId >= 0) {
             // Transfer into the attached bridge.
             Trace *bridge = registry.byId(uint32_t(gs.bridgeTraceId));
-            DeoptResult state = materializeState(space, *t, snap, regs);
-            std::vector<RtVal> bridgeIn = flattenState(state);
-            if (bridgeIn.size() != bridge->numInputs) {
+            materializeInputs(space, *t, snap, regs, xfer);
+            if (xfer.inputs.size() != bridge->numInputs) {
                 // Shape mismatch (shouldn't happen): hard deopt.
                 deoptOut = blackholeMaterialize(space, *t, snap, regs,
                                                 m.guardIdx);
                 return true;
             }
-            enterTrace(bridge, std::move(bridgeIn));
+            enterTrace(bridge, xfer.inputs);
             active.back().trace = t;
             return false;
         }
@@ -367,13 +340,8 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
 // (std::vector, DeoptResult, ...) before NEXT/RESTART/DISPATCH: GCC runs
 // no destructors when a computed goto leaves a scope. Scope such locals
 // in an inner block, as the CallAssembler handler does.
-#if XLVM_CGOTO
 #define OP(name) L_##name
 #define DISPATCH() goto *mop->handler
-#else
-#define OP(name) case MOp::name
-#define DISPATCH() goto dispatch_loop
-#endif
 
 #define NEXT()                                                          \
     do {                                                                \
@@ -421,12 +389,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
             R[mop->res] = (v);                                          \
     } while (0)
 
-#if XLVM_CGOTO
     DISPATCH();
-#else
-dispatch_loop:
-    switch (MOp(mop->opcode)) {
-#endif
 
     // ---- control ----------------------------------------------------
     OP(Label) : {
@@ -473,11 +436,10 @@ dispatch_loop:
                 R[i] = scratch[i];
             ++t->executions;
         } else {
-            std::vector<RtVal> next;
-            next.reserve(n);
+            scratch.resize(n);
             for (uint32_t i = 0; i < n; ++i)
-                next.push_back(R[ax[i]]);
-            enterTrace(registry.byId(mop->aux - 1), std::move(next));
+                scratch[i] = R[ax[i]];
+            enterTrace(registry.byId(mop->aux - 1), scratch);
             active.back().trace = t;
         }
         RESTART();
@@ -1015,7 +977,7 @@ dispatch_loop:
                 return leave(std::move(st));
             }
             ++runDepth;
-            DeoptResult innerState = run(*inner, std::move(innerIn));
+            DeoptResult innerState = run(*inner, innerIn);
             --runDepth;
             // The nested run flushed tier attribution and closed with tier
             // 0; cycles from here on belong to this (outer) trace's tier.
@@ -1142,11 +1104,6 @@ dispatch_loop:
     OP(TrapEnd) : {
         XLVM_PANIC("executor: ran off trace end (trace ", t->id, ")");
     }
-
-#if !XLVM_CGOTO
-    }
-    XLVM_PANIC("executor: bad micro-opcode ", mop->opcode);
-#endif
 
 #undef OP
 #undef DISPATCH

@@ -44,7 +44,8 @@ class TraceExecutor : public gc::RootProvider
      * without a bridge (or an unexpected call_assembler exit). Returns
      * the reconstructed interpreter state.
      */
-    DeoptResult run(jit::Trace &trace, std::vector<jit::RtVal> inputs);
+    DeoptResult run(jit::Trace &trace,
+                    const std::vector<jit::RtVal> &inputs);
 
     /**
      * Ids of guards that just crossed the bridge threshold; the dispatch

@@ -2,8 +2,8 @@
  * @file
  * Cross-layer annotation tag vocabulary.
  *
- * An annotation is a (tag, payload) pair carried by a sim::InstClass::Annot
- * instruction — the analog of the paper's x86 `nop` with a unique address
+ * An annotation is a (tag, payload) pair carried by an annotation
+ * instruction (BlockEmitter::annot, sim::Core::annot) — the analog of the paper's x86 `nop` with a unique address
  * serving as the tag. Annotations are *inserted* at higher layers
  * (application, interpreter dispatch loop, JIT framework, IR lowering) and
  * *collected* at the instruction layer by the AnnotationBus, the analog of

@@ -429,16 +429,205 @@ TEST(Core, DispatchLoopIndirectPredictability)
     EXPECT_GT(miss_random, 0.5);
 }
 
+/**
+ * One step of a seeded mixed instruction stream: every BlockEmitter
+ * method (hence every typed Core entry) with random operands, from a
+ * random code address, plus occasional bucket and context switches.
+ * Calls nest up to 8 deep, past the 4-entry return stack the tests
+ * below configure, and some returns go to the wrong address.
+ */
+void
+emitMixedStep(Core &core, Rng &rng)
+{
+    const uint64_t pc = 0x400000 + 4 * rng.nextBelow(16384);
+    BlockEmitter e(core, pc);
+    switch (rng.nextBelow(16)) {
+      case 0:
+        e.alu(1 + uint32_t(rng.nextBelow(40)),
+              uint8_t(rng.nextBelow(3)));
+        break;
+      case 1:
+        e.fpAlu(1 + uint32_t(rng.nextBelow(8)));
+        break;
+      case 2:
+        e.mul();
+        break;
+      case 3:
+        e.div();
+        break;
+      case 4:
+        e.fpMul();
+        break;
+      case 5:
+        e.fpDiv();
+        break;
+      case 6:
+        e.nop();
+        break;
+      case 7:
+        e.load(8 * rng.nextBelow(8192), uint8_t(rng.nextBelow(4)));
+        break;
+      case 8:
+        e.store(8 * rng.nextBelow(8192));
+        break;
+      case 9:
+        // Biased outcomes, so gshare both learns and misses.
+        e.branch(rng.nextBelow(4) != 0);
+        break;
+      case 10:
+        e.jump(0x400000 + 4 * rng.nextBelow(16384));
+        break;
+      case 11: {
+        uint64_t rets[8];
+        const uint32_t depth = 1 + uint32_t(rng.nextBelow(8));
+        uint64_t site = pc;
+        for (uint32_t d = 0; d < depth; ++d) {
+            BlockEmitter c(core, site);
+            c.alu(2);
+            rets[d] = c.pc() + 4;
+            site = 0xa00000 + 0x400 * rng.nextBelow(8);
+            c.call(site);
+        }
+        for (uint32_t d = depth; d-- > 0;) {
+            BlockEmitter r(core, site + 64);
+            r.ret(rng.nextBelow(16) == 0 ? rets[d] + 4 : rets[d]);
+            site = rets[d];
+        }
+        break;
+      }
+      case 12:
+        e.indirectJump(0x410000 + 0x100 * rng.nextBelow(6));
+        break;
+      case 13: {
+        // Half of these calls return at once, popping their own entry.
+        const uint64_t target = 0xa10000 + 0x100 * rng.nextBelow(6);
+        e.indirectCall(target);
+        if (rng.nextBelow(2)) {
+            BlockEmitter r(core, target);
+            r.alu(1);
+            r.ret(e.pc());
+        }
+        break;
+      }
+      case 14:
+        e.annot(uint32_t(rng.nextBelow(32)), uint32_t(rng.next()));
+        break;
+      default:
+        if (rng.nextBelow(2))
+            core.setBucket(uint32_t(rng.nextBelow(kMaxBuckets)));
+        else
+            core.setProfileContext(rng.next());
+        break;
+    }
+}
+
+/** FNV-1a over 64-bit words. */
+struct Digest
+{
+    uint64_t h = 1469598103934665603ull;
+    uint64_t n = 0;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+class DigestSinks : public AnnotSink, public CycleSampleSink
+{
+  public:
+    Digest annots, samples;
+
+    void
+    onAnnot(uint32_t tag, uint32_t payload) override
+    {
+        ++annots.n;
+        annots.add(tag);
+        annots.add(payload);
+    }
+
+    void
+    onCycleSample(uint64_t clock_fp, uint32_t bucket, uint64_t pc,
+                  uint64_t ctx) override
+    {
+        ++samples.n;
+        samples.add(clock_fp);
+        samples.add(bucket);
+        samples.add(pc);
+        samples.add(ctx);
+    }
+};
+
+CoreParams
+mixedStreamParams()
+{
+    CoreParams p;
+    p.annotCostFp = 5;
+    p.branchPred.rasDepth = 4;
+    return p;
+}
+
+TEST(Core, MixedEmitterStreamCountersPinned)
+{
+    // Every counter, both caches' hit/miss counts, the annotation stream
+    // and the cycle-sample stream of a seeded mixed stream, pinned to the
+    // values the one-record-per-instruction core produced. Any change to
+    // the modeled result of any typed entry point moves one of them.
+    Core core(mixedStreamParams());
+    DigestSinks sinks;
+    core.setAnnotSink(&sinks);
+    core.armSampler(&sinks, 7 * kCycleFp + 3);
+    Rng rng(2017);
+    for (int i = 0; i < 40000; ++i)
+        emitMixedStep(core, rng);
+
+    const PerfCounters t = core.totalCounters();
+    EXPECT_EQ(t.instructions, 135223u);
+    EXPECT_EQ(t.cyclesFp, 8132221u);
+    EXPECT_EQ(t.branches, 33326u);
+    EXPECT_EQ(t.condBranches, 2484u);
+    EXPECT_EQ(t.mispredicts, 10409u);
+    EXPECT_EQ(t.loads, 2451u);
+    EXPECT_EQ(t.stores, 2547u);
+    EXPECT_EQ(t.icacheMisses, 20580u);
+    EXPECT_EQ(t.dcacheMisses, 2663u);
+    EXPECT_EQ(t.annotations, 2509u);
+
+    Digest buckets;
+    for (uint32_t b = 0; b < kMaxBuckets; ++b) {
+        const PerfCounters &c = core.bucketCounters(b);
+        for (uint64_t v : {c.instructions, c.cyclesFp, c.branches,
+                           c.condBranches, c.mispredicts, c.loads,
+                           c.stores, c.icacheMisses, c.dcacheMisses,
+                           c.annotations})
+            buckets.add(v);
+    }
+    EXPECT_EQ(buckets.h, 14776075497772233127ull);
+
+    EXPECT_EQ(core.icacheUnit().hits(), 114643u);
+    EXPECT_EQ(core.icacheUnit().misses(), 20580u);
+    EXPECT_EQ(core.dcacheUnit().hits(), 2335u);
+    EXPECT_EQ(core.dcacheUnit().misses(), 2663u);
+
+    EXPECT_EQ(sinks.annots.n, 2509u);
+    EXPECT_EQ(sinks.annots.h, 8055166643656175221ull);
+    EXPECT_EQ(sinks.samples.n, 70714u);
+    EXPECT_EQ(sinks.samples.h, 11115342922863035686ull);
+    EXPECT_EQ(core.sampleClockFp(), 8132221u);
+}
+
 TEST(Core, TotalsEqualBucketSumsUnderRandomBucketSwitches)
 {
     // totalInstructions()/totalCyclesFp() are kept incrementally by
     // setBucket; they must equal the plain sum over buckets whatever the
-    // order of switches, charges and resets.
-    Core core;
+    // order of switches, charges (through every emitter method, annotation
+    // cost included) and resets.
+    Core core(mixedStreamParams());
     Rng rng(11);
-    const InstClass classes[] = {InstClass::IntAlu, InstClass::Load,
-                                 InstClass::Store,  InstClass::Branch,
-                                 InstClass::IntDiv, InstClass::Annot};
     auto check = [&](int it) {
         uint64_t insts = 0, cycles = 0;
         for (uint32_t b = 0; b < kMaxBuckets; ++b) {
@@ -454,17 +643,8 @@ TEST(Core, TotalsEqualBucketSumsUnderRandomBucketSwitches)
         if (r < 20) {
             // Out-of-range buckets fall back to bucket 0.
             core.setBucket(uint32_t(rng.nextBelow(kMaxBuckets + 2)));
-        } else if (r < 60) {
-            Inst i;
-            i.cls = classes[rng.nextBelow(6)];
-            i.pc = 0x400000 + 4 * rng.nextBelow(256);
-            i.memAddr = 64 * rng.nextBelow(1024);
-            i.taken = rng.nextBelow(2) != 0;
-            core.consume(i);
         } else if (r < 99) {
-            core.consumeStraight(InstClass::IntAlu,
-                                 0x400000 + 4 * rng.nextBelow(256),
-                                 uint32_t(rng.nextBelow(40)));
+            emitMixedStep(core, rng);
         } else {
             core.resetStats();
         }

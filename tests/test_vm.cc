@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "jit/opt.h"
 #include "jit/recorder.h"
 #include "vm/context.h"
@@ -197,6 +199,121 @@ TEST(Blackhole, SharedVirtualMaterializedOnce)
     DeoptResult res =
         blackholeMaterialize(ctx.space, t, snap, regs, 0);
     EXPECT_EQ(res.frames[0].stack[0], res.frames[0].stack[1]);
+}
+
+/**
+ * One materialized slot, described by allocation order rather than host
+ * address so two heaps can be compared: allocSeq, type, and the value or
+ * the referents' allocSeqs.
+ */
+std::string
+describeSlot(const obj::W_Object *w)
+{
+    std::string d = std::to_string(w->allocId()) + ":" +
+                    obj::typeName(w->typeId());
+    switch (w->typeId()) {
+      case obj::kTypeInt:
+        return d + "=" +
+               std::to_string(static_cast<const obj::W_Int *>(w)->value);
+      case obj::kTypeFloat:
+        return d + "=" +
+               std::to_string(static_cast<const obj::W_Float *>(w)->value);
+      case obj::kTypePair: {
+        auto *p = static_cast<const obj::W_Pair *>(w);
+        return d + "(" + std::to_string(p->car->allocId()) + "," +
+               std::to_string(p->cdr->allocId()) + ")";
+      }
+      default:
+        return d;
+    }
+}
+
+TEST(Blackhole, BridgeInputsEqualFlattenedState)
+{
+    // The guard->bridge transfer resolves slots straight into its input
+    // buffer. It must equal materializeState's frames read outer to
+    // inner, locals then stack: the same objects, built by the same
+    // allocations in the same allocSeq order (boxing allocates, so the
+    // order is part of the modeled result).
+    jit::Trace t;
+    // v0: an int whose value is register 0. v1: a pair (v0, register 2).
+    jit::VirtualObj v0;
+    v0.typeId = obj::kTypeInt;
+    v0.fieldRefs = {0};
+    v0.numFields = 1;
+    jit::VirtualObj v1;
+    v1.typeId = obj::kTypePair;
+    v1.fieldRefs = {jit::makeVirtualRef(0), 2};
+    v1.numFields = 2;
+    t.virtuals = {v0, v1};
+
+    int outer, inner;
+    jit::Snapshot snap;
+    jit::FrameSnapshot f0;
+    f0.code = &outer;
+    f0.pc = 4;
+    f0.locals = {0, jit::makeVirtualRef(1), kNoArg}; // Int reg boxes
+    f0.stack = {1};                                  // Float reg boxes
+    jit::FrameSnapshot f1;
+    f1.code = &inner;
+    f1.pc = 9;
+    // v0 from a second slot (and as v1's car); v1 referenced twice.
+    f1.locals = {jit::makeVirtualRef(0)};
+    f1.stack = {jit::makeVirtualRef(1), 0, 2};
+    snap.frames = {f0, f1};
+
+    struct Side
+    {
+        VmContext ctx;
+        std::vector<RtVal> regs;
+        uint64_t allocsBefore = 0;
+
+        Side()
+        {
+            regs = {RtVal::fromInt(-3), RtVal::fromFloat(1.5),
+                    RtVal::fromRef(ctx.space.newInt(11))};
+            allocsBefore = ctx.space.heap().stats().allocations;
+        }
+        uint64_t
+        allocs()
+        {
+            return ctx.space.heap().stats().allocations - allocsBefore;
+        }
+    };
+
+    Side flat, direct;
+    TransferBuffers buf;
+    for (int round = 0; round < 2; ++round) {
+        // The second round reuses the grown buffers: the memo must start
+        // empty again, so every virtual is built afresh.
+        const uint64_t flatBefore = flat.allocs();
+        DeoptResult st =
+            materializeState(flat.ctx.space, t, snap, flat.regs);
+        std::vector<obj::W_Object *> want;
+        for (const FrameState &f : st.frames) {
+            want.insert(want.end(), f.locals.begin(), f.locals.end());
+            want.insert(want.end(), f.stack.begin(), f.stack.end());
+        }
+
+        const uint64_t directBefore = direct.allocs();
+        materializeInputs(direct.ctx.space, t, snap, direct.regs, buf);
+        ASSERT_EQ(buf.inputs.size(), want.size());
+        EXPECT_EQ(direct.allocs() - directBefore,
+                  flat.allocs() - flatBefore);
+        for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(buf.inputs[i].kind, RtVal::Kind::Ref);
+            auto *got = static_cast<obj::W_Object *>(buf.inputs[i].r);
+            EXPECT_EQ(describeSlot(got), describeSlot(want[i]))
+                << "round " << round << ", slot " << i;
+            for (size_t j = 0; j < i; ++j) {
+                EXPECT_EQ(buf.inputs[j].r == buf.inputs[i].r,
+                          want[j] == want[i])
+                    << "round " << round << ", slots " << j << ", " << i;
+            }
+        }
+    }
+    // Per round: two boxed ints, a boxed float, the int and pair virtuals.
+    EXPECT_EQ(flat.allocs(), 10u);
 }
 
 TEST(Blackhole, CyclicVirtualsTerminate)
